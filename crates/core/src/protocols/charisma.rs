@@ -29,6 +29,8 @@ use charisma_des::SimTime;
 use charisma_phy::Phy;
 use charisma_radio::CsiEstimate;
 use charisma_traffic::{TerminalClass, TerminalId};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One gathered request awaiting allocation at the base station.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +53,10 @@ pub struct Charisma {
     /// Gathered requests (this frame's and, with the queue, earlier frames').
     backlog: Vec<Entry>,
     /// Last CSI estimate obtained for each terminal (from request pilots,
-    /// CSI polling, or earlier frames), indexed by terminal index.
-    last_csi: Vec<Option<CsiEstimate>>,
+    /// CSI polling, or earlier frames), keyed by terminal index.  Only the
+    /// terminals heard and not yet forgotten have an entry, so a cell's
+    /// table is O(members), not O(global population).
+    last_csi: HashMap<u32, CsiEstimate, BuildHasherDefault<IdHasher>>,
     /// Urgency term of eq. (2) for voice, tabulated over the (clamped)
     /// frames-to-deadline argument: `urgency_weight · beta_voice^k`.
     voice_urgency: Vec<f64>,
@@ -70,6 +74,25 @@ pub struct Charisma {
     stale: Vec<(usize, f64)>,
     order: Vec<(usize, f64)>,
     served: Vec<bool>,
+}
+
+/// A multiplicative (Fibonacci) hasher for `u32` terminal indices.  Nothing
+/// iterates the map it keys, so the hash never reaches any output.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("IdHasher hashes u32 keys only");
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The urgency arguments are clamped to this value before exponentiation
@@ -97,7 +120,7 @@ impl Charisma {
             queue_capacity: config.request_queue_capacity,
             reservations: IdSet::new(),
             backlog: Vec::new(),
-            last_csi: Vec::new(),
+            last_csi: HashMap::default(),
             voice_urgency,
             data_urgency,
             exclude: IdSet::new(),
@@ -113,16 +136,12 @@ impl Charisma {
 
     /// The base station's last CSI estimate for `id`, if any.
     fn lookup_csi(&self, id: TerminalId) -> Option<CsiEstimate> {
-        self.last_csi.get(id.index() as usize).copied().flatten()
+        self.last_csi.get(&id.index()).copied()
     }
 
     /// Records the base station's newest CSI estimate for `id`.
     fn remember_csi(&mut self, id: TerminalId, est: CsiEstimate) {
-        let i = id.index() as usize;
-        if i >= self.last_csi.len() {
-            self.last_csi.resize(i + 1, None);
-        }
-        self.last_csi[i] = Some(est);
+        self.last_csi.insert(id.index(), est);
     }
 
     /// Number of terminals currently holding a voice reservation.
@@ -208,9 +227,12 @@ impl UplinkMac for Charisma {
     fn forget_terminal(&mut self, id: TerminalId) {
         self.reservations.remove(id);
         self.backlog.retain(|e| e.terminal != id);
-        if let Some(slot) = self.last_csi.get_mut(id.index() as usize) {
-            *slot = None;
-        }
+        self.last_csi.remove(&id.index());
+    }
+
+    #[cfg(test)]
+    fn csi_entries(&self) -> Option<usize> {
+        Some(self.last_csi.len())
     }
 
     fn run_frame(&mut self, world: &mut FrameWorld<'_>) {
@@ -430,6 +452,22 @@ mod tests {
         let c = Charisma::new(&cfg);
         assert!(c.queue_enabled);
         assert_eq!(c.queue_capacity, 17);
+    }
+
+    #[test]
+    fn forgetting_a_terminal_drops_its_csi_entry() {
+        let mut c = Charisma::new(&SimConfig::quick_test());
+        let est = CsiEstimate {
+            snr_db: 12.5,
+            estimated_at: SimTime::ZERO,
+        };
+        c.remember_csi(TerminalId(0), est);
+        c.remember_csi(TerminalId(1015), est);
+        assert_eq!(c.csi_entries(), Some(2));
+        c.forget_terminal(TerminalId(1015));
+        assert_eq!(c.csi_entries(), Some(1));
+        assert_eq!(c.lookup_csi(TerminalId(1015)), None);
+        assert_eq!(c.lookup_csi(TerminalId(0)), Some(est));
     }
 
     #[test]

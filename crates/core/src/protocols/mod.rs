@@ -60,6 +60,14 @@ pub trait UplinkMac: Send {
     /// never be scheduled by a base station that no longer serves it.  The
     /// default is a no-op for stateless protocols.
     fn forget_terminal(&mut self, _id: TerminalId) {}
+
+    /// Number of per-terminal CSI estimates the base station caches, or
+    /// `None` for a protocol without a CSI table (lets the system tests
+    /// check that the table stays O(members)).
+    #[cfg(test)]
+    fn csi_entries(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Identifies one of the six protocols under comparison.

@@ -22,6 +22,9 @@
 //!    base station ([`PathLossConfig`]), and — when a different base station
 //!    has become closer by the hysteresis margin — a handoff attempt is
 //!    recorded in the cell's **mailbox**.  Nothing cross-cell is touched.
+//!    The nearest base station is cached per terminal and the cell centres
+//!    are rescanned only once the terminal could have crossed a Voronoi
+//!    bisector, so a frame costs O(terminals), not O(terminals × cells).
 //! 3. **Merge** (serial): the mailboxes are applied in cell-id order —
 //!    queue departures first-come, attempts admitted, queued or refused per
 //!    [`crate::config::HandoffConfig`] — and the per-cell streaming
@@ -156,6 +159,78 @@ struct RoamState {
     /// (false for attempts queued during warm-up), so a later admission is
     /// counted exactly when its attempt was.
     attempt_measured: bool,
+    /// The terminal's nearest base station, cached between frames.
+    nearest: NearestCache,
+}
+
+/// Float slack (m) taken off every [`NearestCache`] margin, far above the
+/// rounding error of a `distance_m` over a city-sized layout.
+const VORONOI_SLACK_M: f64 = 1e-6;
+
+/// The brute-force Voronoi lookup: the nearest centre (the lowest id on
+/// exact ties, as `Iterator::min_by` picks), its distance, and the
+/// second-nearest distance (infinite with a single centre).
+fn nearest_cell(centers: &[Position], pos: Position) -> (u32, f64, f64) {
+    debug_assert!(!centers.is_empty(), "a system has at least one cell");
+    let mut best = (0, f64::INFINITY, f64::INFINITY);
+    for (c, &center) in centers.iter().enumerate() {
+        let d = pos.distance_m(center);
+        if d < best.1 {
+            best = (c as u32, d, best.1);
+        } else if d < best.2 {
+            best.2 = d;
+        }
+    }
+    best
+}
+
+/// A terminal's nearest cell, rescanned only when it may have changed.
+///
+/// At the `anchor` where [`nearest_cell`] last ran, every other centre was
+/// at least `2 · (margin + slack)` farther than `nearest`.  While the
+/// terminal stays within `margin` of the anchor, the triangle inequality
+/// keeps `nearest` strictly nearest, so the cached id and a fresh distance
+/// to it equal the full scan bit for bit.  Near a bisector the margin is
+/// negative and every lookup rescans.
+#[derive(Debug, Clone, Copy)]
+struct NearestCache {
+    nearest: u32,
+    anchor: Position,
+    margin: f64,
+}
+
+impl NearestCache {
+    /// A cache that rescans on its first lookup.
+    const INVALID: NearestCache = NearestCache {
+        nearest: 0,
+        anchor: Position::ORIGIN,
+        margin: -1.0,
+    };
+
+    /// The nearest centre to `pos` and its distance.  `d_serving` is `pos`'s
+    /// distance to the `serving` centre, reused when that is the nearest.
+    fn lookup(
+        &mut self,
+        centers: &[Position],
+        pos: Position,
+        serving: u32,
+        d_serving: f64,
+    ) -> (u32, f64) {
+        if pos.distance_m(self.anchor) > self.margin {
+            let (nearest, d1, d2) = nearest_cell(centers, pos);
+            *self = NearestCache {
+                nearest,
+                anchor: pos,
+                margin: (d2 - d1) / 2.0 - VORONOI_SLACK_M,
+            };
+            (nearest, d1)
+        } else if self.nearest == serving {
+            (serving, d_serving)
+        } else {
+            let d = pos.distance_m(centers[self.nearest as usize]);
+            (self.nearest, d)
+        }
+    }
 }
 
 /// A cross-cell effect recorded during the parallel roam phase and applied
@@ -303,6 +378,7 @@ impl SystemWorld {
                     retry_at: 0,
                     queued_for: None,
                     attempt_measured: false,
+                    nearest: NearestCache::INVALID,
                 });
                 members.push(TerminalId(idx));
             }
@@ -740,13 +816,15 @@ unsafe fn roam_phase(
         grid.columns.set_mean_snr_db(i, snr_db);
 
         // Nearest base station (Voronoi cell of the current position).
-        let (nearest, d_nearest) = ctx
-            .centers
-            .iter()
-            .enumerate()
-            .map(|(cc, &center)| (cc as u32, pos.distance_m(center)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("a system has at least one cell");
+        let (nearest, d_nearest) = roam.nearest.lookup(ctx.centers, pos, c as u32, d_serving);
+        #[cfg(debug_assertions)]
+        {
+            let (n, d, _) = nearest_cell(ctx.centers, pos);
+            assert!(
+                n == nearest && d.to_bits() == d_nearest.to_bits(),
+                "cached nearest cell diverged from the full scan"
+            );
+        }
 
         // Leaving a queue: the terminal roamed back into its serving cell's
         // Voronoi region (or towards a third cell) before being admitted.
@@ -961,6 +1039,7 @@ mod tests {
     use super::*;
     use crate::config::{HandoffAdmission, Layout, SystemConfig};
     use crate::scenario::Scenario;
+    use proptest::prelude::*;
 
     fn small_config() -> SimConfig {
         let mut cfg = SimConfig::quick_test();
@@ -1235,5 +1314,121 @@ mod tests {
         // diverge and both stay sane.
         assert_ne!(multi.metrics.voice, flat.metrics.voice);
         assert!(multi.voice_loss_rate() <= 1.0);
+    }
+
+    /// The reference the cache must reproduce: `min_by` over every centre.
+    fn min_by_nearest(centers: &[Position], pos: Position) -> (u32, f64) {
+        centers
+            .iter()
+            .enumerate()
+            .map(|(c, &center)| (c as u32, pos.distance_m(center)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap()
+    }
+
+    /// Walks one random-waypoint trajectory over `layout` and checks the
+    /// cached lookup against [`min_by_nearest`] on every step, bit for bit.
+    /// The serving cell follows the previous step's nearest, as handoffs
+    /// would, so both fast-path branches run.
+    fn cache_tracks_min_by(
+        layout: Layout,
+        cells: u32,
+        seed: u64,
+        speed_kmh: f64,
+        dt_secs: f64,
+    ) -> TestCaseResult {
+        let centers = cell_centers(&layout, cells);
+        let bounds = layout_bounds(&centers, layout.cell_radius_m());
+        let mut rng = Xoshiro256StarStar::from_seed_u64(seed);
+        let start = bounds.sample(&mut rng);
+        let mut motion = RandomWaypoint::new(start, speed_kmh, &bounds, &mut rng);
+        let mut cache = NearestCache::INVALID;
+        let mut serving = 0;
+        for step in 0..2_000 {
+            motion.advance(dt_secs, &bounds, &mut rng);
+            let pos = motion.position();
+            let d_serving = pos.distance_m(centers[serving as usize]);
+            let (nearest, d) = cache.lookup(&centers, pos, serving, d_serving);
+            let (want, want_d) = min_by_nearest(&centers, pos);
+            prop_assert_eq!(nearest, want, "step {step} at {pos:?}");
+            prop_assert_eq!(d.to_bits(), want_d.to_bits(), "step {step} at {pos:?}");
+            serving = nearest;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn nearest_cache_equals_min_by_on_the_127_cell_hex(
+            seed in any::<u64>(),
+            speed_kmh in 1.0f64..150.0,
+            dt_pick in 0usize..3,
+        ) {
+            let dt_secs = [0.0025, 0.05, 1.0][dt_pick];
+            let layout = Layout::Hex { cell_radius_m: 150.0 };
+            cache_tracks_min_by(layout, hex_cells_for_rings(6), seed, speed_kmh, dt_secs)?;
+        }
+
+        #[test]
+        fn nearest_cache_equals_min_by_on_a_line(
+            seed in any::<u64>(),
+            cells in 1u32..12,
+            radius_m in 20.0f64..500.0,
+            speed_kmh in 1.0f64..150.0,
+            dt_pick in 0usize..3,
+        ) {
+            let dt_secs = [0.0025, 0.05, 1.0][dt_pick];
+            let layout = Layout::Line { cell_radius_m: radius_m };
+            cache_tracks_min_by(layout, cells, seed, speed_kmh, dt_secs)?;
+        }
+    }
+
+    #[test]
+    fn an_exact_bisector_resolves_to_the_lower_id() {
+        let centers = cell_centers(
+            &Layout::Line {
+                cell_radius_m: 150.0,
+            },
+            4,
+        );
+        let mid = Position::new((centers[0].x_m + centers[1].x_m) / 2.0, 0.0);
+        assert_eq!(mid.distance_m(centers[0]), mid.distance_m(centers[1]));
+        assert_eq!(min_by_nearest(&centers, mid).0, 0);
+        let (nearest, d1, d2) = nearest_cell(&centers, mid);
+        assert_eq!((nearest, d1), (0, d2));
+        // A tie leaves no margin, so the cache rescans on every lookup.
+        let mut cache = NearestCache::INVALID;
+        for serving in [1, 0, 1] {
+            let d_serving = mid.distance_m(centers[serving as usize]);
+            assert_eq!(cache.lookup(&centers, mid, serving, d_serving), (0, d1));
+            assert!(cache.margin < 0.0);
+        }
+    }
+
+    #[test]
+    fn charisma_csi_tables_hold_only_cell_members() {
+        let mut cfg = small_config();
+        cfg.warmup_frames = 100;
+        cfg.measured_frames = 1_000;
+        cfg.system = Some(roaming_system(hex_cells_for_rings(2)));
+        let mut world = SystemWorld::new(cfg, ProtocolKind::Charisma);
+        let report = world.run();
+        assert!(
+            report.metrics.handoff.successes > 0,
+            "no handoffs to forget"
+        );
+        let mut held = 0;
+        for (c, (cell, mac)) in world.cells.iter().zip(&world.macs).enumerate() {
+            let entries = mac.csi_entries().expect("CHARISMA caches CSI");
+            let members = cell.member_count();
+            assert!(
+                entries <= members,
+                "cell {c} holds {entries} CSI entries for {members} members"
+            );
+            held += entries;
+        }
+        assert!(held > 0, "no CSI was ever cached");
     }
 }
