@@ -1,30 +1,12 @@
-//! Criterion micro-benchmarks of the simulation substrate: the event
-//! calendar, the random streams, the fading channel and the CSI estimator.
+//! Criterion micro-benchmarks of the simulation substrate: the random
+//! streams, the fading channel and the CSI estimator.
 //! These bound the per-frame cost of the platform itself, independent of any
 //! MAC protocol.
 
-use charisma::des::{EventQueue, RngStreams, Sampler, SimDuration, SimTime, StreamId};
+use charisma::des::{RngStreams, Sampler, SimDuration, SimTime, StreamId};
 use charisma::phy::{AdaptivePhy, Phy};
 use charisma::radio::{ChannelConfig, CombinedChannel, Mobility};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event_queue_schedule_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            let mut x: u64 = 0x9E3779B97F4A7C15;
-            for i in 0..10_000u32 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                q.schedule(SimTime::from_micros(x % 1_000_000), i);
-            }
-            let mut acc = 0u64;
-            while let Some((t, _)) = q.pop() {
-                acc = acc.wrapping_add(t.as_micros());
-            }
-            black_box(acc)
-        })
-    });
-}
 
 fn bench_rng_streams(c: &mut Criterion) {
     let streams = RngStreams::new(42);
@@ -84,11 +66,5 @@ fn bench_phy(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    engine,
-    bench_event_queue,
-    bench_rng_streams,
-    bench_channel,
-    bench_phy
-);
+criterion_group!(engine, bench_rng_streams, bench_channel, bench_phy);
 criterion_main!(engine);

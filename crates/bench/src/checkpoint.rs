@@ -411,7 +411,7 @@ fn load_checkpoint(
 
 /// Runs one registry entry durably: sweep entries execute through the
 /// checkpoint manifest (written as points complete, resumable with
-/// [`DurableOptions::resume`]); bespoke entries run exactly as before.
+/// [`DurableOptions::resume`]); bespoke generators run to completion.
 /// Artifacts and the checkpoint land under `opts.results_dir`.
 pub fn run_entry_durable(
     name: &str,
@@ -426,15 +426,6 @@ pub fn run_entry_durable(
             registry::names().join(", ")
         ))
     })?;
-    let (build, render) = match entry.kind {
-        EntryKind::Sweep { build, render } => (build, render),
-        EntryKind::Custom { .. } => {
-            // Bespoke generators have no sweep shape to checkpoint; they run
-            // to completion or not at all, which is already resume-safe.
-            return registry::run_entry(name, profile, threads, baseline)
-                .map_err(DurableError::Failure);
-        }
-    };
     println!(
         "=== {} — {} [{} profile{}] ===",
         entry.name,
@@ -442,6 +433,21 @@ pub fn run_entry_durable(
         profile.label(),
         if opts.resume { ", resuming" } else { "" }
     );
+    let (build, render) = match entry.kind {
+        EntryKind::Sweep { build, render } => (build, render),
+        EntryKind::Custom { run } => {
+            // Bespoke generators have no sweep shape to checkpoint; they run
+            // to completion or not at all, which is already resume-safe.
+            return Ok(EntryReport {
+                name: entry.name,
+                points: 0,
+                replications: 0,
+                seeds: Vec::new(),
+                outputs: run(profile, baseline, &opts.results_dir),
+                campaign_json: None,
+            });
+        }
+    };
     let campaign = build(profile);
     let budget = profile.budget();
     let expanded = campaign
@@ -566,10 +572,11 @@ pub fn run_entry_durable(
     })
 }
 
-/// Durable counterpart of `registry::run_and_record_with`: runs the named
-/// entries through [`run_entry_durable`] and writes the provenance manifest
-/// under `opts.results_dir` — even when an entry fails or aborts partway, so
-/// the artifacts that *did* land are never described by a stale manifest.
+/// Runs the named entries through [`run_entry_durable`] and writes the
+/// provenance manifest (`MANIFEST.json`: spec JSON, profile, seeds, outputs
+/// and git revision) under `opts.results_dir` — even when an entry fails or
+/// aborts partway, so the artifacts that *did* land are never described by a
+/// stale manifest.
 pub fn run_and_record_durable(
     run_names: &[String],
     profile: BenchProfile,

@@ -16,12 +16,11 @@
 //! ```
 //!
 //! Each run prints aligned text tables (the rows/series the paper reports),
-//! writes its artifacts under `results/`, and records provenance — spec
-//! JSON, profile, seeds, git revision — in `results/MANIFEST.json`.  The
-//! per-figure binaries (`fig11`, `capacity_table`, …) still exist as thin
-//! wrappers over the same registry entries.  Parameter values and exact
-//! commands are recorded in `EXPERIMENTS.md` at the repository root, whose
-//! generated section the `campaign` binary maintains via `--write-handbook`.
+//! writes its artifacts under `results/` (or `--results-dir`), and records
+//! provenance — spec JSON, profile, seeds, git revision — in
+//! `MANIFEST.json` next to them.  Parameter values and exact commands are
+//! recorded in `EXPERIMENTS.md` at the repository root, whose generated
+//! section the `campaign` binary maintains via `--write-handbook`.
 //!
 //! The run length per sweep point is set by the [`BenchProfile`]
 //! (`--profile` or `CHARISMA_BENCH_PROFILE=quick|standard|full`; an
@@ -29,7 +28,6 @@
 
 use charisma::{FrameBudget, ReplicationPolicy, SimConfig};
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 pub mod artifacts;
@@ -43,10 +41,9 @@ pub mod trend;
 /// The committed frame-loop baseline (`results/BENCH_frame_loop.json`) is
 /// the reference the CI regression gate compares against, so regenerating it
 /// must be a deliberate act: only an **explicitly named** standard-profile
-/// run (`campaign run bench_frame_loop --profile standard`, or the
-/// `bench_frame_loop` wrapper binary) writes it.  Bulk runs
-/// (`campaign run all`) and non-standard profiles are routed to untracked
-/// sidecar files.
+/// run (`campaign run bench_frame_loop --profile standard`) writes it.  Bulk
+/// runs (`campaign run all`) and non-standard profiles are routed to
+/// untracked sidecar files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaselineWrite {
     /// The entry was named explicitly: a standard-profile run refreshes the
@@ -219,20 +216,20 @@ pub fn write_output_to(dir: &Path, name: &str, contents: &str) -> std::io::Resul
     Ok(path)
 }
 
-/// Writes a CSV file under [`output_dir`]; returns the path written.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
-    let path = output_dir().join(name);
-    match fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{header}");
-            for row in rows {
-                let _ = writeln!(f, "{row}");
-            }
-            println!("wrote {}", path.display());
-        }
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+/// Writes a CSV file under `dir` (created on demand); returns the path
+/// written.  A failed write is a warning, not an error: the CSV is redundant
+/// with the printed tables.
+pub fn write_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> PathBuf {
+    let mut contents = format!("{header}\n");
+    for row in rows {
+        contents.push_str(row);
+        contents.push('\n');
     }
-    path
+    write_output_to(dir, name, &contents).unwrap_or_else(|e| {
+        let path = dir.join(name);
+        eprintln!("warning: could not write {}: {e}", path.display());
+        path
+    })
 }
 
 /// The voice-user sweep used by Fig. 11 for the given profile.

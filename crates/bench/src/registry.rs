@@ -4,15 +4,12 @@
 //! and tables, plus scenarios the paper never plotted — either as a
 //! declarative [`Campaign`] of [`ScenarioSpec`]s executed on the sweep
 //! workers, or as a bespoke generator from [`crate::artifacts`] for the few
-//! artifacts that are not sweeps.  The `campaign` binary (and the thin
-//! per-figure wrapper binaries) drive everything through
-//! [`run_entry`] / [`run_and_record`], which also maintain the provenance
-//! manifest (`results/MANIFEST.json`) and the generated section of the
-//! reproduction handbook (`EXPERIMENTS.md`).
+//! artifacts that are not sweeps.  The `campaign` binary drives everything
+//! through [`crate::checkpoint::run_and_record_durable`], which also writes
+//! the provenance manifest (`MANIFEST.json`); this module renders the
+//! generated section of the reproduction handbook (`EXPERIMENTS.md`).
 
-use crate::{
-    artifacts, fig11_voice_counts, fig12_data_counts, write_output, BaselineWrite, BenchProfile,
-};
+use crate::{artifacts, fig11_voice_counts, fig12_data_counts, BaselineWrite, BenchProfile};
 use charisma::metrics::capacity_at_threshold;
 use charisma::radio::SpeedProfile;
 use charisma::spec::{Axis, DurationSpec, QueueToggle, RampSpec, ScenarioSpec};
@@ -21,7 +18,6 @@ use charisma::{
 };
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// A file produced by rendering a campaign run.
 pub struct Artifact {
@@ -42,11 +38,11 @@ pub enum EntryKind {
     },
     /// A bespoke artifact generator (no sweep shape).
     Custom {
-        /// Runs the generator; returns the files it wrote.  The
-        /// [`BaselineWrite`] context tells it whether committed baseline
-        /// files may be refreshed (explicit run) or must be routed to
-        /// sidecars (bulk `run all`).
-        run: fn(BenchProfile, BaselineWrite) -> Vec<PathBuf>,
+        /// Runs the generator, writing under the given results directory;
+        /// returns the files it wrote.  The [`BaselineWrite`] context tells
+        /// it whether committed baseline files may be refreshed (explicit
+        /// run) or must be routed to sidecars (bulk `run all`).
+        run: fn(BenchProfile, BaselineWrite, &Path) -> Vec<PathBuf>,
     },
 }
 
@@ -1206,71 +1202,6 @@ pub fn build_campaign(name: &str, profile: BenchProfile) -> Option<Campaign> {
     }
 }
 
-/// Runs one entry: executes its campaign (or bespoke generator), prints its
-/// tables and writes its artifacts under `results/`.
-pub fn run_entry(
-    name: &str,
-    profile: BenchProfile,
-    threads: usize,
-    baseline: BaselineWrite,
-) -> Result<EntryReport, String> {
-    let entry = find(name).ok_or_else(|| {
-        format!(
-            "unknown scenario \"{name}\" — registered scenarios: {}",
-            names().join(", ")
-        )
-    })?;
-    println!(
-        "=== {} — {} [{} profile] ===",
-        entry.name,
-        entry.title,
-        profile.label()
-    );
-    match entry.kind {
-        EntryKind::Sweep { build, render } => {
-            let campaign = build(profile);
-            let started = Instant::now();
-            let run = campaign
-                .run_replicated(profile.budget(), profile.replications(), threads)
-                .map_err(|e| e.to_string())?;
-            let artifacts = render(&run);
-            let mut outputs = Vec::new();
-            for artifact in artifacts {
-                outputs.push(
-                    write_output(artifact.file, &artifact.contents).map_err(|e| e.to_string())?,
-                );
-            }
-            let replications: u64 = run.rows.iter().map(|r| r.reps()).sum();
-            println!(
-                "{}: {} sweep points ({} replications) in {:.1} s",
-                entry.name,
-                run.rows.len(),
-                replications,
-                started.elapsed().as_secs_f64()
-            );
-            Ok(EntryReport {
-                name: entry.name,
-                points: run.rows.len(),
-                replications,
-                seeds: campaign.seeds(),
-                outputs,
-                campaign_json: Some(campaign.to_json()),
-            })
-        }
-        EntryKind::Custom { run } => {
-            let outputs = run(profile, baseline);
-            Ok(EntryReport {
-                name: entry.name,
-                points: 0,
-                replications: 0,
-                seeds: Vec::new(),
-                outputs,
-                campaign_json: None,
-            })
-        }
-    }
-}
-
 /// The current git revision (for provenance), or `"unknown"` outside a git
 /// checkout.
 pub fn git_revision() -> String {
@@ -1334,54 +1265,6 @@ pub fn manifest_json(reports: &[EntryReport], profile: BenchProfile, threads: us
             ),
         ),
     ])
-}
-
-/// Runs a list of explicitly named entries and records the provenance
-/// manifest (`results/MANIFEST.json`): spec JSON, profile, seeds, outputs
-/// and git revision of the run.  Explicit naming means committed baselines
-/// may be refreshed ([`BaselineWrite::Allowed`]); bulk `run all` invocations
-/// go through [`run_and_record_with`] with [`BaselineWrite::Sidecar`].
-///
-/// The manifest is (re)written even when an entry fails partway through, so
-/// the artifacts that *did* land in `results/` are never described by a
-/// stale manifest from an earlier invocation.
-pub fn run_and_record(
-    run_names: &[String],
-    profile: BenchProfile,
-    threads: usize,
-) -> Result<Vec<EntryReport>, String> {
-    run_and_record_with(run_names, profile, threads, BaselineWrite::Allowed)
-}
-
-/// [`run_and_record`] with an explicit baseline-write context.
-pub fn run_and_record_with(
-    run_names: &[String],
-    profile: BenchProfile,
-    threads: usize,
-    baseline: BaselineWrite,
-) -> Result<Vec<EntryReport>, String> {
-    let mut reports = Vec::new();
-    let mut failure: Option<String> = None;
-    for name in run_names {
-        match run_entry(name, profile, threads, baseline) {
-            Ok(report) => reports.push(report),
-            Err(e) => {
-                failure = Some(format!("{name}: {e}"));
-                break;
-            }
-        }
-        println!();
-    }
-    let manifest = manifest_json(&reports, profile, threads);
-    write_output("MANIFEST.json", &format!("{manifest}\n")).map_err(|e| e.to_string())?;
-    match failure {
-        Some(e) => Err(format!(
-            "{e} (results/MANIFEST.json covers the {} completed entr{})",
-            reports.len(),
-            if reports.len() == 1 { "y" } else { "ies" }
-        )),
-        None => Ok(reports),
-    }
 }
 
 // --- the reproduction handbook -------------------------------------------
@@ -1539,6 +1422,7 @@ pub fn write_handbook(path: &Path) -> io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{run_entry_durable, DurableOptions};
 
     #[test]
     fn registry_names_are_unique_and_nonempty() {
@@ -1629,7 +1513,16 @@ mod tests {
 
     #[test]
     fn unknown_entries_error_with_the_valid_names() {
-        let e = run_entry("fig99", BenchProfile::Quick, 1, BaselineWrite::Allowed).unwrap_err();
+        let opts = DurableOptions::new("results");
+        let e = run_entry_durable(
+            "fig99",
+            BenchProfile::Quick,
+            1,
+            BaselineWrite::Allowed,
+            &opts,
+        )
+        .unwrap_err()
+        .to_string();
         assert!(e.contains("fig99"));
         assert!(e.contains("fig11"), "error should list the registry: {e}");
     }

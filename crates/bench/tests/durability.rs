@@ -9,7 +9,9 @@
 //! with a real checkpoint — stale revision, wrong profile, unknown record
 //! keys, missing file — and asserts the resume *refuses* (the CLI's exit 2)
 //! rather than silently mixing incompatible runs, while a torn final record
-//! (a kill mid-append) is dropped and recomputed.
+//! (a kill mid-append) is dropped and recomputed.  A last test runs the
+//! bespoke (non-sweep) entries into a scratch results directory and
+//! requires every file they write to land there.
 //!
 //! The fault count is injected through [`DurableOptions`] directly, never
 //! the `CHARISMA_FAULT_POINT` environment variable: the env var is
@@ -339,6 +341,48 @@ fn torn_final_record_is_dropped_and_the_resume_still_matches() {
         assert!(
             *clean == resumed,
             "{name} after a torn-tail resume differs from the uninterrupted run"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bespoke_artifacts_write_only_under_the_results_dir() {
+    // `campaign run --results-dir X` must leave the committed `results/`
+    // tree alone: the bespoke generators write where the run was told to,
+    // exactly like the sweep entries.
+    let dir = scratch("bespoke-redirect");
+    let names = ["table1", "fig5_fading", "fig7_abicm"];
+    let reports = run_and_record_durable(
+        &names.map(String::from),
+        BenchProfile::Quick,
+        1,
+        BaselineWrite::Sidecar,
+        &DurableOptions::new(&dir),
+    )
+    .expect("bespoke entries must run");
+    assert_eq!(reports.len(), names.len());
+    for report in &reports {
+        assert!(!report.outputs.is_empty(), "{}: no outputs", report.name);
+        for path in &report.outputs {
+            assert!(
+                path.starts_with(&dir),
+                "{}: wrote {} outside {}",
+                report.name,
+                path.display(),
+                dir.display()
+            );
+        }
+    }
+    for file in [
+        "table1_parameters.csv",
+        "fig5_fading.csv",
+        "fig7_abicm.csv",
+        "MANIFEST.json",
+    ] {
+        assert!(
+            dir.join(file).is_file(),
+            "{file} missing from the results dir"
         );
     }
     fs::remove_dir_all(&dir).ok();

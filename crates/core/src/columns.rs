@@ -138,43 +138,43 @@ impl TerminalColumns {
         }
     }
 
-    /// Decomposes `terminal` into the columns.  Terminals must be pushed in
-    /// ascending index order so slot `i` is `TerminalId(i)`.
+    /// Moves `terminal`'s fields into the columns.  Terminals must be pushed
+    /// in ascending index order so slot `i` is `TerminalId(i)`.
     pub fn push(&mut self, terminal: Terminal) {
-        let parts = terminal.into_parts();
         debug_assert_eq!(
-            parts.id.index() as usize,
+            terminal.id.index() as usize,
             self.class.len(),
             "terminals must be pushed in index order"
         );
-        debug_assert_eq!(parts.clock, self.clock, "terminal clock mismatch");
+        debug_assert_eq!(terminal.clock, self.clock, "terminal clock mismatch");
         debug_assert_eq!(
-            parts.channel_mode, self.channel_mode,
+            terminal.channel_mode, self.channel_mode,
             "terminal channel mode mismatch"
         );
-        self.class.push(parts.class);
-        self.active_from_frame.push(parts.active_from_frame);
-        self.in_talkspurt.push(parts.in_talkspurt);
+        self.class.push(terminal.class);
+        self.active_from_frame.push(terminal.active_from_frame);
+        self.in_talkspurt.push(terminal.in_talkspurt);
         self.traffic_boundary.push(Self::boundary_for(
-            &parts.voice_source,
-            &parts.data_source,
-            &parts.voice_buffer,
-            parts.active_from_frame,
+            &terminal.voice_source,
+            &terminal.data_source,
+            &terminal.voice_buffer,
+            terminal.active_from_frame,
             0,
             self.clock.frame_duration().as_micros(),
         ));
-        self.voice_source.push(parts.voice_source);
-        self.voice_buffer.push(parts.voice_buffer);
-        self.data_source.push(parts.data_source);
-        self.data_buffer.push(parts.data_buffer);
-        self.mean_snr_db.push(parts.channel.config.mean_snr_db);
-        self.short.push(parts.channel.short);
-        self.long.push(parts.channel.long);
-        self.chan_rng.push(parts.channel.rng);
-        self.chan_now.push(parts.channel.now);
+        self.voice_source.push(terminal.voice_source);
+        self.voice_buffer.push(terminal.voice_buffer);
+        self.data_source.push(terminal.data_source);
+        self.data_buffer.push(terminal.data_buffer);
+        let channel = terminal.channel.into_parts();
+        self.mean_snr_db.push(channel.config.mean_snr_db);
+        self.short.push(channel.short);
+        self.long.push(channel.long);
+        self.chan_rng.push(channel.rng);
+        self.chan_now.push(channel.now);
         self.snr_cache.push(None);
-        self.contention_rng.push(parts.contention_rng);
-        self.phy_rng.push(parts.phy_rng);
+        self.contention_rng.push(terminal.contention_rng);
+        self.phy_rng.push(terminal.phy_rng);
     }
 
     /// First frame at which `begin_frame` must do any work for a terminal in

@@ -355,10 +355,10 @@ pub struct SystemConfig {
     /// Distance-based path loss feeding each terminal's mean SNR.
     pub path_loss: PathLossConfig,
     /// Intra-point worker threads for the sharded frame loop.  Purely an
-    /// execution hint: `0` or `1` selects the single-threaded round-robin
-    /// path, and any value produces **byte-identical** reports (the
-    /// determinism suite pins this), so it never changes what a run means —
-    /// only how fast a city-scale layout steps its cells.
+    /// execution hint: `0` or `1` runs every cell on the calling thread,
+    /// and any value produces **byte-identical** reports (the determinism
+    /// suite pins this), so it never changes what a run means — only how
+    /// fast a city-scale layout steps its cells.
     pub threads: u32,
 }
 

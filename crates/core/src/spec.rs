@@ -241,8 +241,8 @@ pub struct ScenarioSpec {
     /// Handoff admission behaviour (multi-cell specs only).
     pub handoff: HandoffConfig,
     /// Intra-point worker threads for the sharded system frame loop
-    /// (multi-cell specs only; 0 or 1 selects the round-robin path).  An
-    /// execution hint: reports are byte-identical at any value.
+    /// (multi-cell specs only; 0 or 1 runs every cell on the calling
+    /// thread).  An execution hint: reports are byte-identical at any value.
     pub system_threads: u32,
 }
 

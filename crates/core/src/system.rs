@@ -32,12 +32,12 @@
 //! 4. **MAC step** (parallel per cell): each cell's MAC runs one uplink
 //!    frame over its current membership.
 //!
-//! Both execution paths — the single-threaded round-robin loop and the
-//! sharded loop with [`SystemConfig::threads`] workers — run exactly these
-//! phases.  The parallel phases are order-independent across cells (every
-//! random draw comes from a per-terminal or per-cell stream, every counter
-//! lands in the acting cell's own accumulator) and the serial phases apply
-//! cross-cell effects in deterministic cell-id order, so a run's report is
+//! One driver runs these phases with [`SystemConfig::threads`] workers, the
+//! calling thread being worker 0 and also running the serial phases.  The
+//! parallel phases are order-independent across cells (every random draw
+//! comes from a per-terminal or per-cell stream, every counter lands in the
+//! acting cell's own accumulator) and the serial phases apply cross-cell
+//! effects in deterministic cell-id order, so a run's report is
 //! **byte-identical at any thread count**; the determinism suite pins this.
 //!
 //! Terminal ids are global (`cell · per_cell + local`), so a terminal keeps
@@ -435,10 +435,10 @@ impl SystemWorld {
     /// Executes the run and produces the system-level report: every cell's
     /// counters merged, plus the handoff statistics and per-cell breakdown.
     ///
-    /// With [`SystemConfig::threads`] ≤ 1 the frame phases run round-robin
-    /// on the calling thread; otherwise cells are dealt to that many worker
-    /// threads.  Both paths execute identical phase code in an identical
-    /// order of effect, so the report — and every CSV rendered from it — is
+    /// Cells are dealt to [`SystemConfig::threads`] workers (at least one,
+    /// at most one per cell), the calling thread being worker 0.  Every
+    /// thread count executes the same phase code in the same order of
+    /// effect, so the report — and every CSV rendered from it — is
     /// byte-identical regardless of the thread count.
     pub fn run(&mut self) -> RunReport {
         let total = self.config.total_frames();
@@ -478,33 +478,7 @@ impl SystemWorld {
                 queue_len: &mut self.queue_len,
             };
 
-            if threads <= 1 {
-                for frame in 0..total {
-                    let measuring = frame >= warmup;
-                    let measuring_drops = frame >= warmup + drop_grace;
-                    // SAFETY: a single thread executes every phase, so each
-                    // one has exclusive access to the whole grid.
-                    unsafe {
-                        drain_admission_queues(&grid, &mut serial, &ctx, measuring_drops);
-                        for c in 0..n_cells {
-                            roam_phase(&grid, &ctx, c, frame, measuring, measuring_drops);
-                        }
-                        merge_mailboxes(
-                            &grid,
-                            &mut serial,
-                            &ctx,
-                            frame,
-                            measuring,
-                            measuring_drops,
-                        );
-                        for c in 0..n_cells {
-                            mac_phase(&grid, &ctx, c, frame, measuring);
-                        }
-                    }
-                }
-            } else {
-                run_sharded(&grid, &mut serial, &ctx, threads, total, warmup, drop_grace);
-            }
+            run_sharded(&grid, &mut serial, &ctx, threads, total, warmup, drop_grace);
         }
 
         debug_assert_eq!(
@@ -583,8 +557,9 @@ struct SerialState<'a> {
 /// * **spatial**: during a parallel phase, worker `w` only touches cells
 ///   `c ≡ w (mod threads)` and their members, and the cell membership is a
 ///   partition of the terminals — disjoint elements, no overlap;
-/// * **temporal**: the serial phases run strictly between barriers while
-///   every worker is parked, so they have the whole grid to themselves.
+/// * **temporal**: worker 0 runs the serial phases strictly between
+///   barriers while every other worker is parked, so they have the whole
+///   grid to themselves.
 struct ShardGrid {
     cells: *mut Cell,
     macs: *mut Box<dyn UplinkMac>,
@@ -961,18 +936,19 @@ unsafe fn mac_phase(grid: &ShardGrid, ctx: &FrameCtx<'_>, c: usize, frame: u64, 
     );
 }
 
-/// The sharded frame loop: `threads` workers own cell subsets (dealt
-/// round-robin by id) and execute the parallel phases; the coordinating
-/// thread executes the serial phases in the windows between barriers.
+/// The frame loop: `threads` workers own cell subsets (dealt round-robin by
+/// id) and execute the parallel phases.  The calling thread is worker 0: it
+/// runs its own share of the parallel phases and, in the windows between
+/// barriers, the serial phases.  With one thread nothing is spawned.
 ///
 /// Four barrier waits bound each frame:
 ///
 /// ```text
-/// coordinator:  drain ──┐            ┌── merge ──┐           ┌── (next frame)
+/// worker 0:     drain ──┐            ┌── merge ──┐           ┌── (next frame)
 ///                       ▼            │           ▼           │
 /// barrier:           [w1]───[w2]─────┘        [w3]───[w4]────┘
 ///                       ▲            ▲           ▲           ▲
-/// workers:              └── roam ────┘           └── MACs ───┘
+/// every worker:         └── roam ────┘           └── MACs ───┘
 /// ```
 ///
 /// Every thread derives the frame flags from its own loop counter, so the
@@ -987,27 +963,33 @@ fn run_sharded(
     warmup: u64,
     drop_grace: u64,
 ) {
-    let barrier = Barrier::new(threads + 1);
+    let barrier = Barrier::new(threads);
+    let roam = |w: usize, frame: u64| {
+        let measuring = frame >= warmup;
+        let measuring_drops = frame >= warmup + drop_grace;
+        for c in (w..grid.n_cells).step_by(threads) {
+            // SAFETY: worker `w` exclusively owns every cell
+            // `c ≡ w (mod threads)`; memberships are disjoint.
+            unsafe { roam_phase(grid, ctx, c, frame, measuring, measuring_drops) };
+        }
+    };
+    let macs = |w: usize, frame: u64| {
+        for c in (w..grid.n_cells).step_by(threads) {
+            // SAFETY: as for the roam phase; the merge finished re-shuffling
+            // memberships before the barrier released the workers.
+            unsafe { mac_phase(grid, ctx, c, frame, frame >= warmup) };
+        }
+    };
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let barrier = &barrier;
+        for w in 1..threads {
+            let (barrier, roam, macs) = (&barrier, &roam, &macs);
             scope.spawn(move || {
                 for frame in 0..total {
-                    let measuring = frame >= warmup;
-                    let measuring_drops = frame >= warmup + drop_grace;
                     barrier.wait(); // queue drain done
-                    for c in (w..grid.n_cells).step_by(threads) {
-                        // SAFETY: worker `w` exclusively owns every cell
-                        // `c ≡ w (mod threads)`; memberships are disjoint.
-                        unsafe { roam_phase(grid, ctx, c, frame, measuring, measuring_drops) };
-                    }
+                    roam(w, frame);
                     barrier.wait(); // roam done everywhere
                     barrier.wait(); // merge done
-                    for c in (w..grid.n_cells).step_by(threads) {
-                        // SAFETY: as above; the merge finished re-shuffling
-                        // memberships before the barrier released us.
-                        unsafe { mac_phase(grid, ctx, c, frame, measuring) };
-                    }
+                    macs(w, frame);
                     barrier.wait(); // frame complete
                 }
             });
@@ -1015,13 +997,16 @@ fn run_sharded(
         for frame in 0..total {
             let measuring = frame >= warmup;
             let measuring_drops = frame >= warmup + drop_grace;
-            // SAFETY: every worker is parked on a barrier while the serial
-            // phases run, so they have exclusive access to the grid.
+            // SAFETY: every other worker is parked on a barrier while the
+            // serial phases (this drain and the merge below) run, so they
+            // have exclusive access to the grid.
             unsafe { drain_admission_queues(grid, serial, ctx, measuring_drops) };
             barrier.wait(); // release the workers into the roam phase
+            roam(0, frame);
             barrier.wait(); // wait for every mailbox
             unsafe { merge_mailboxes(grid, serial, ctx, frame, measuring, measuring_drops) };
             barrier.wait(); // release the workers into the MAC phase
+            macs(0, frame);
             barrier.wait(); // frame complete
         }
     });
@@ -1171,15 +1156,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_matches_round_robin_exactly() {
-        // The tentpole property at the unit level: the full RunReport —
-        // every counter, every per-cell Welford statistic — is identical
-        // between the round-robin path and the sharded path at several
-        // thread counts, including a count that does not divide the cells.
+    fn every_thread_count_gives_the_same_report() {
+        // The full RunReport — every counter, every per-cell Welford
+        // statistic — is identical between the default run and explicit
+        // thread counts, including a count that does not divide the cells
+        // and one above the cell count (clamped to one worker per cell).
         let mut cfg = small_config();
         cfg.system = Some(roaming_system(7));
         let reference = Scenario::new(cfg.clone()).run(ProtocolKind::Charisma);
-        for threads in [1u32, 2, 3, 4] {
+        for threads in [1u32, 2, 3, 4, 8] {
             let mut sharded_cfg = cfg.clone();
             let mut system = sharded_cfg.system.unwrap();
             system.threads = threads;
@@ -1187,7 +1172,7 @@ mod tests {
             let sharded = Scenario::new(sharded_cfg).run(ProtocolKind::Charisma);
             assert_eq!(
                 sharded, reference,
-                "threads={threads}: sharded report diverged from round-robin"
+                "threads={threads}: report diverged from the default run"
             );
             assert_eq!(
                 format!("{sharded:?}"),

@@ -24,9 +24,6 @@
 //! world's *index accessors* — [`FrameWorld::members`] hands out the member
 //! id slice, and per-terminal reads go through [`FrameWorld::class`],
 //! [`FrameWorld::voice_backlog`], [`FrameWorld::has_backlog`] and friends.
-//! The previous object getters ([`FrameWorld::terminal`],
-//! [`FrameWorld::terminal_mut`]) survive one release as thin `#[deprecated]`
-//! shims returning proxy handles.
 
 use crate::columns::{ColumnsView, TerminalColumns};
 use crate::config::SimConfig;
@@ -217,124 +214,6 @@ pub struct DataTx {
     pub errored: u32,
 }
 
-/// Read-only proxy for one terminal, returned by the deprecated
-/// [`FrameWorld::terminal`] shim.  New code should use the index accessors
-/// ([`FrameWorld::class`], [`FrameWorld::voice_backlog`], …) directly.
-pub struct TerminalRef<'w> {
-    view: ColumnsView,
-    i: usize,
-    _marker: PhantomData<&'w ()>,
-}
-
-impl TerminalRef<'_> {
-    /// The terminal's service class.
-    pub fn class(&self) -> TerminalClass {
-        unsafe { self.view.class(self.i) }
-    }
-
-    /// Whether the terminal is currently in a talkspurt.
-    pub fn in_talkspurt(&self) -> bool {
-        unsafe { self.view.in_talkspurt(self.i) }
-    }
-
-    /// Number of voice packets waiting in the transmit buffer.
-    pub fn voice_backlog(&self) -> usize {
-        unsafe { self.view.voice_backlog(self.i) }
-    }
-
-    /// Number of data packets waiting in the transmit buffer.
-    pub fn data_backlog(&self) -> u64 {
-        unsafe { self.view.data_backlog(self.i) }
-    }
-
-    /// Whether the terminal has anything to send.
-    pub fn has_backlog(&self) -> bool {
-        unsafe { self.view.has_backlog(self.i) }
-    }
-
-    /// Earliest deadline among buffered voice packets.
-    pub fn earliest_voice_deadline(&self) -> Option<SimTime> {
-        unsafe { self.view.earliest_voice_deadline(self.i) }
-    }
-
-    /// Arrival time of the oldest buffered data packet.
-    pub fn oldest_data_arrival(&self) -> Option<SimTime> {
-        unsafe { self.view.oldest_data_arrival(self.i) }
-    }
-}
-
-/// Mutable proxy for one terminal, returned by the deprecated
-/// [`FrameWorld::terminal_mut`] shim.  New code should use the index
-/// accessors ([`FrameWorld::voice_buffer_mut`], [`FrameWorld::true_snr_db`],
-/// …) directly.
-pub struct TerminalMut<'w> {
-    view: ColumnsView,
-    i: usize,
-    _marker: PhantomData<&'w mut ()>,
-}
-
-impl TerminalMut<'_> {
-    /// The terminal's service class.
-    pub fn class(&self) -> TerminalClass {
-        unsafe { self.view.class(self.i) }
-    }
-
-    /// Whether the terminal is currently in a talkspurt.
-    pub fn in_talkspurt(&self) -> bool {
-        unsafe { self.view.in_talkspurt(self.i) }
-    }
-
-    /// Number of voice packets waiting in the transmit buffer.
-    pub fn voice_backlog(&self) -> usize {
-        unsafe { self.view.voice_backlog(self.i) }
-    }
-
-    /// Number of data packets waiting in the transmit buffer.
-    pub fn data_backlog(&self) -> u64 {
-        unsafe { self.view.data_backlog(self.i) }
-    }
-
-    /// Whether the terminal has anything to send.
-    pub fn has_backlog(&self) -> bool {
-        unsafe { self.view.has_backlog(self.i) }
-    }
-
-    /// Earliest deadline among buffered voice packets.
-    pub fn earliest_voice_deadline(&self) -> Option<SimTime> {
-        unsafe { self.view.earliest_voice_deadline(self.i) }
-    }
-
-    /// Arrival time of the oldest buffered data packet.
-    pub fn oldest_data_arrival(&self) -> Option<SimTime> {
-        unsafe { self.view.oldest_data_arrival(self.i) }
-    }
-
-    /// Mutable access to the voice buffer.
-    pub fn voice_buffer_mut(&mut self) -> &mut VoiceBuffer {
-        unsafe { self.view.voice_buffer_mut(self.i) }
-    }
-
-    /// Mutable access to the data buffer.
-    pub fn data_buffer_mut(&mut self) -> &mut DataBuffer {
-        unsafe { self.view.data_buffer_mut(self.i) }
-    }
-
-    /// The terminal's true instantaneous SNR at time `t`.
-    pub fn true_snr_db(&mut self, t: SimTime) -> f64 {
-        unsafe { self.view.true_snr_db(self.i, t) }
-    }
-
-    /// The contention random stream (permission probability, slot choice).
-    pub fn contention_rng(&mut self) -> &mut Xoshiro256StarStar {
-        unsafe { self.view.contention_rng(self.i) }
-    }
-
-    /// The packet-error random stream.
-    pub fn phy_rng(&mut self) -> &mut Xoshiro256StarStar {
-        unsafe { self.view.phy_rng(self.i) }
-    }
-}
-
 /// The mutable per-frame view handed to a protocol's `run_frame`.
 pub struct FrameWorld<'a> {
     /// Index of the current frame.
@@ -405,30 +284,6 @@ impl<'a> FrameWorld<'a> {
     /// Number of terminals in the whole scenario (across every cell).
     pub fn num_terminals(&self) -> usize {
         self.terminals.len()
-    }
-
-    /// Immutable proxy for a terminal.
-    #[deprecated(note = "use the index accessors instead: `world.class(id)`, \
-                `world.voice_backlog(id)`, `world.has_backlog(id)`, …")]
-    pub fn terminal(&self, id: TerminalId) -> TerminalRef<'_> {
-        TerminalRef {
-            view: self.terminals.view,
-            i: id.index() as usize,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Mutable proxy for a terminal.
-    #[deprecated(
-        note = "use the index accessors instead: `world.voice_buffer_mut(id)`, \
-                `world.true_snr_db(id)`, `world.contention_rng(id)`, …"
-    )]
-    pub fn terminal_mut(&mut self, id: TerminalId) -> TerminalMut<'_> {
-        TerminalMut {
-            view: self.terminals.view,
-            i: id.index() as usize,
-            _marker: PhantomData,
-        }
     }
 
     /// The ids of the terminals attached to this base station, in attachment
@@ -1115,33 +970,6 @@ mod tests {
                 w.capacity(TerminalId(0), LinkAdaptation::Announced { snr_db: -40.0 }),
                 0.0
             );
-        });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_object_getters_agree_with_index_accessors() {
-        // The one-release compatibility shims must observe the exact same
-        // state as the index accessors they forward to.
-        with_world(2, 1, 4, |mut w| {
-            for id in [TerminalId(0), TerminalId(1), TerminalId(2)] {
-                assert_eq!(w.terminal(id).class(), w.class(id));
-                assert_eq!(w.terminal(id).in_talkspurt(), w.in_talkspurt(id));
-                assert_eq!(w.terminal(id).voice_backlog(), w.voice_backlog(id));
-                assert_eq!(w.terminal(id).data_backlog(), w.data_backlog(id));
-                assert_eq!(w.terminal(id).has_backlog(), w.has_backlog(id));
-                assert_eq!(
-                    w.terminal(id).earliest_voice_deadline(),
-                    w.earliest_voice_deadline(id)
-                );
-                assert_eq!(
-                    w.terminal(id).oldest_data_arrival(),
-                    w.oldest_data_arrival(id)
-                );
-            }
-            let now = w.now;
-            let via_shim = w.terminal_mut(TerminalId(0)).true_snr_db(now);
-            assert_eq!(via_shim, w.true_snr_db(TerminalId(0)));
         });
     }
 }

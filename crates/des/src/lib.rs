@@ -15,27 +15,22 @@
 //!   talkspurts, Rayleigh fading envelopes, log-normal shadowing, Bernoulli
 //!   permission probabilities) implemented directly on top of the uniform
 //!   generator, so no external distribution crate is required.
-//! * [`event`] — a deterministic event calendar (binary heap keyed by time
-//!   with a monotone tie-breaking sequence number).
 //! * [`clock`] — the TDMA frame clock: conversions between simulation time,
 //!   frame indices and slot indices for a fixed frame duration (2.5 ms in the
 //!   paper).
 //!
 //! The substrate is intentionally protocol-agnostic: the MAC layer in the
-//! `charisma` crate drives a frame-synchronous loop, while traffic sources
-//! schedule future arrivals through the event calendar.
+//! `charisma` crate drives a frame-synchronous loop over these primitives.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod clock;
 pub mod dist;
-pub mod event;
 pub mod rng;
 pub mod time;
 
 pub use clock::{FrameClock, SlotPosition};
 pub use dist::Sampler;
-pub use event::{EventEntry, EventQueue};
 pub use rng::{RngStreams, SplitMix64, StreamId, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};

@@ -1,7 +1,7 @@
 //! Property-based tests for the discrete-event substrate.
 
 use charisma_des::{
-    EventQueue, FrameClock, RngStreams, Sampler, SimDuration, SimTime, StreamId, Xoshiro256StarStar,
+    FrameClock, RngStreams, Sampler, SimDuration, SimTime, StreamId, Xoshiro256StarStar,
 };
 use proptest::prelude::*;
 
@@ -9,53 +9,6 @@ proptest! {
     // Fixed case count on top of the runner's fixed master seed: the suite
     // explores the same cases on every machine and every run.
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Popping the calendar always yields a non-decreasing sequence of times,
-    /// and simultaneous events come out in scheduling order.
-    #[test]
-    fn event_queue_is_stable_priority_queue(times in proptest::collection::vec(0u64..1_000_000, 1..400)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
-        }
-        let mut last_time = SimTime::ZERO;
-        let mut last_seq_at_time: Option<usize> = None;
-        while let Some((t, idx)) = q.pop() {
-            prop_assert!(t >= last_time);
-            if t == last_time {
-                if let Some(prev) = last_seq_at_time {
-                    // Same timestamp: scheduling order (and thus original index order
-                    // among equal times) must be preserved.
-                    prop_assert!(times[prev] != times[idx] || prev < idx);
-                }
-            }
-            last_time = t;
-            last_seq_at_time = Some(idx);
-        }
-    }
-
-    /// `schedule_after(d)` is exactly `schedule(now + d)`: both calendars
-    /// deliver the same (time, event) sequence for any interleaving of pops
-    /// and relative delays.
-    #[test]
-    fn schedule_after_matches_absolute_scheduling(delays in proptest::collection::vec(0u64..100_000, 1..100)) {
-        let mut relative = EventQueue::new();
-        let mut absolute = EventQueue::new();
-        for (i, &d) in delays.iter().enumerate() {
-            let delay = SimDuration::from_micros(d);
-            relative.schedule_after(delay, i);
-            absolute.schedule(absolute.now() + delay, i);
-            // Pop every other iteration so the clocks actually advance and
-            // later delays are measured from a moving "now".
-            if i % 2 == 1 {
-                prop_assert_eq!(relative.pop(), absolute.pop());
-            }
-        }
-        while let Some(got) = relative.pop() {
-            prop_assert_eq!(Some(got), absolute.pop());
-        }
-        prop_assert!(absolute.is_empty());
-    }
 
     /// Frame decomposition is a bijection: frame_start(frame) + offset == t
     /// and the offset is always strictly less than the frame duration.

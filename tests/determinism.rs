@@ -251,9 +251,9 @@ fn sharded_multicell_campaign_is_byte_identical_at_any_thread_count() {
     // The tentpole acceptance property: the campaign CSV bytes of a
     // multi-cell entry are a pure function of the campaign, regardless of
     // how many worker threads step the cells inside each sweep point.
-    // Thread count 0 is the single-threaded round-robin path; 2 and 4
-    // exercise the sharded path with cells dealt across workers (4 does not
-    // divide 7, so the deal is uneven too).
+    // Thread counts 0 and 1 run every cell on the calling thread; 2 and 4
+    // deal the cells across workers (4 does not divide 7, so the deal is
+    // uneven too).
     let reference = with_system_threads(mini_multicell(), 0)
         .run(mini_budget(), 1)
         .unwrap()
