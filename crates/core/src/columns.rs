@@ -22,7 +22,8 @@
 //! | `voice_buffer`      | `VoiceBuffer`                | `begin_frame`, MAC serving |
 //! | `data_source`       | `Option<DataSource>`         | `begin_frame`              |
 //! | `data_buffer`       | `DataBuffer`                 | `begin_frame`, MAC serving |
-//! | `mean_snr_db`       | `f64`                        | mobility / path-loss       |
+//! | `mean_snr_db`       | `f64`                        | pending-link fold          |
+//! | `pending_link`      | `Option<PendingLink>`        | system layer (roam, merge) |
 //! | `short`             | `ShortTermFading`            | channel advance            |
 //! | `long`              | `LongTermShadowing`          | channel advance            |
 //! | `chan_rng`          | `Xoshiro256StarStar`         | channel advance            |
@@ -30,6 +31,18 @@
 //! | `snr_cache`         | `Option<(SimTime, f64)>`     | SNR sampling               |
 //! | `contention_rng`    | `Xoshiro256StarStar`         | contention draws           |
 //! | `phy_rng`           | `Xoshiro256StarStar`         | packet-error draws         |
+//!
+//! `pending_link` exists only in a store built with a [`PathLossConfig`]
+//! (the multi-cell system layer).  The system layer records each member's
+//! serving-link distance and site shadow there every frame instead of
+//! evaluating the log-distance path loss, and the first channel evaluation
+//! that needs the mean SNR folds the latest recorded link into
+//! `mean_snr_db` as `path_loss.mean_snr_db(d) + shadow_db` — the same
+//! operations in the same order, paid only by the few terminals whose
+//! channel is read in that frame.  Nothing reads the mean SNR between the
+//! writes and the fold, so the deferred value is bit-identical to the eager
+//! one.  Single-cell stores carry no profile, allocate no column, and their
+//! fold is a no-op.
 //!
 //! # Determinism
 //!
@@ -51,7 +64,7 @@
 //! previous `Vec<Terminal>`-based grid used, now concentrated in one type.
 
 use charisma_des::{FrameClock, SimTime, Xoshiro256StarStar};
-use charisma_radio::{ChannelMode, LongTermShadowing, ShortTermFading};
+use charisma_radio::{ChannelMode, LongTermShadowing, PathLossConfig, ShortTermFading};
 use charisma_traffic::{
     buffer::VoicePacket, DataBuffer, DataSource, TerminalClass, VoiceBuffer, VoiceSource,
 };
@@ -70,6 +83,42 @@ pub struct TrafficTotals {
     /// Data packets that arrived at this boundary.
     pub data_arrived: u64,
 }
+
+/// A serving link recorded by the system layer and not yet folded into the
+/// terminal's mean SNR: the distance to the serving base station and the
+/// site-shadowing offset of the (terminal, cell) attachment.
+#[derive(Debug)]
+struct PendingLink {
+    distance_m: f64,
+    shadow_db: f64,
+}
+
+impl PendingLink {
+    /// Panics if the distance is negative or not finite, at the write rather
+    /// than at a fold that may come frames later.
+    fn new(distance_m: f64, shadow_db: f64) -> Self {
+        assert!(
+            distance_m >= 0.0 && distance_m.is_finite(),
+            "distance must be finite and non-negative, got {distance_m}"
+        );
+        PendingLink {
+            distance_m,
+            shadow_db,
+        }
+    }
+
+    /// The mean SNR (dB) the link implies through `path_loss`.  Out of line
+    /// so that the channel evaluation, which single-cell stores share and
+    /// never fold in, keeps its size.
+    #[inline(never)]
+    fn mean_snr_db(self, path_loss: &PathLossConfig) -> f64 {
+        let mean_snr_db = path_loss.mean_snr_db(self.distance_m) + self.shadow_db;
+        assert!(mean_snr_db.is_finite(), "mean SNR must be finite");
+        mean_snr_db
+    }
+}
+
+const NO_PATH_LOSS: &str = "serving links need a store with a path-loss profile";
 
 /// Structure-of-arrays store of every terminal's protocol-independent state.
 ///
@@ -98,6 +147,11 @@ pub struct TerminalColumns {
     data_source: Vec<Option<DataSource>>,
     data_buffer: Vec<DataBuffer>,
     mean_snr_db: Vec<f64>,
+    /// The path-loss profile the pending links fold through; `None` (and an
+    /// empty `pending_link`) for single-cell stores.
+    path_loss: Option<PathLossConfig>,
+    /// The latest serving link not yet folded into `mean_snr_db`.
+    pending_link: Vec<Option<PendingLink>>,
     short: Vec<ShortTermFading>,
     long: Vec<LongTermShadowing>,
     chan_rng: Vec<Xoshiro256StarStar>,
@@ -116,6 +170,27 @@ impl TerminalColumns {
 
     /// Like [`TerminalColumns::new`] with pre-allocated column capacity.
     pub fn with_capacity(clock: FrameClock, channel_mode: ChannelMode, capacity: usize) -> Self {
+        Self::build(clock, channel_mode, capacity, None)
+    }
+
+    /// A store whose mean SNRs follow serving links recorded with
+    /// [`TerminalColumns::record_link`] through `path_loss` (the multi-cell
+    /// system layer).
+    pub(crate) fn with_path_loss(
+        clock: FrameClock,
+        channel_mode: ChannelMode,
+        capacity: usize,
+        path_loss: PathLossConfig,
+    ) -> Self {
+        Self::build(clock, channel_mode, capacity, Some(path_loss))
+    }
+
+    fn build(
+        clock: FrameClock,
+        channel_mode: ChannelMode,
+        capacity: usize,
+        path_loss: Option<PathLossConfig>,
+    ) -> Self {
         TerminalColumns {
             clock,
             channel_mode,
@@ -128,6 +203,8 @@ impl TerminalColumns {
             data_source: Vec::with_capacity(capacity),
             data_buffer: Vec::with_capacity(capacity),
             mean_snr_db: Vec::with_capacity(capacity),
+            path_loss,
+            pending_link: Vec::with_capacity(if path_loss.is_some() { capacity } else { 0 }),
             short: Vec::with_capacity(capacity),
             long: Vec::with_capacity(capacity),
             chan_rng: Vec::with_capacity(capacity),
@@ -168,6 +245,9 @@ impl TerminalColumns {
         self.data_buffer.push(terminal.data_buffer);
         let channel = terminal.channel.into_parts();
         self.mean_snr_db.push(channel.config.mean_snr_db);
+        if self.path_loss.is_some() {
+            self.pending_link.push(None);
+        }
         self.short.push(channel.short);
         self.long.push(channel.long);
         self.chan_rng.push(channel.rng);
@@ -251,6 +331,8 @@ impl TerminalColumns {
             data_source: self.data_source.as_mut_ptr(),
             data_buffer: self.data_buffer.as_mut_ptr(),
             mean_snr_db: self.mean_snr_db.as_mut_ptr(),
+            path_loss: self.path_loss,
+            pending_link: self.pending_link.as_mut_ptr(),
             short: self.short.as_mut_ptr(),
             long: self.long.as_mut_ptr(),
             chan_rng: self.chan_rng.as_mut_ptr(),
@@ -441,11 +523,10 @@ impl TerminalColumns {
         &mut self.phy_rng[i]
     }
 
-    /// Re-points terminal `i`'s mean SNR (dB); the multi-cell system layer
-    /// updates it every frame from path loss + site shadowing.
-    pub fn set_mean_snr_db(&mut self, i: usize, mean_snr_db: f64) {
-        assert!(mean_snr_db.is_finite(), "mean SNR must be finite");
-        self.mean_snr_db[i] = mean_snr_db;
+    /// Records terminal `i`'s serving link (see [`ColumnsView::record_link`]).
+    pub(crate) fn record_link(&mut self, i: usize, distance_m: f64, shadow_db: f64) {
+        assert!(self.path_loss.is_some(), "{NO_PATH_LOSS}");
+        self.pending_link[i] = Some(PendingLink::new(distance_m, shadow_db));
     }
 
     /// Drops every buffered voice packet (hard-handoff link interruption or
@@ -489,6 +570,9 @@ pub(crate) struct ColumnsView {
     data_source: *mut Option<DataSource>,
     data_buffer: *mut DataBuffer,
     mean_snr_db: *mut f64,
+    path_loss: Option<PathLossConfig>,
+    /// Dangling (never dereferenced) when `path_loss` is `None`.
+    pending_link: *mut Option<PendingLink>,
     short: *mut ShortTermFading,
     long: *mut LongTermShadowing,
     chan_rng: *mut Xoshiro256StarStar,
@@ -522,6 +606,7 @@ const _: () = {
     assert_send::<Xoshiro256StarStar>();
     assert_send::<SimTime>();
     assert_send::<Option<(SimTime, f64)>>();
+    assert_send::<Option<PendingLink>>();
     assert_send::<FrameClock>();
 };
 
@@ -696,7 +781,28 @@ impl ColumnsView {
         *self.mean_snr_db.add(i) + gain_db
     }
 
+    /// Folds terminal `i`'s pending serving link, if any, into its mean SNR:
+    /// `path_loss.mean_snr_db(d) + shadow_db`, evaluated on the latest
+    /// recorded link exactly as the system layer would have evaluated it at
+    /// the write.  A no-op for stores without a path-loss profile and for
+    /// terminals already folded since their last write.
+    ///
+    /// # Safety
+    /// Exclusive access to terminal `i`.
+    #[inline]
+    unsafe fn fold_pending_link(&self, i: usize) {
+        let Some(path_loss) = &self.path_loss else {
+            return;
+        };
+        if let Some(link) = (*self.pending_link.add(i)).take() {
+            *self.mean_snr_db.add(i) = link.mean_snr_db(path_loss);
+        }
+    }
+
     /// Terminal `i`'s true instantaneous SNR at time `t`.
+    ///
+    /// The first evaluation after the system layer recorded a new serving
+    /// link folds that link into the mean SNR first.
     ///
     /// In [`ChannelMode::Lazy`] (the default) the value is memoised per
     /// instant, so capacity, the error-probability draw and CSI polling all
@@ -718,12 +824,14 @@ impl ColumnsView {
                     }
                 }
                 self.advance_channel(i, t);
+                self.fold_pending_link(i);
                 let snr = self.snr_db(i);
                 *cache = Some((t, snr));
                 snr
             }
             ChannelMode::Eager => {
                 self.advance_channel(i, t);
+                self.fold_pending_link(i);
                 self.snr_db(i)
             }
         }
@@ -833,14 +941,21 @@ impl ColumnsView {
         &mut *self.phy_rng.add(i)
     }
 
-    /// Re-points terminal `i`'s mean SNR (dB).
+    /// Records terminal `i`'s serving link — the distance to its serving base
+    /// station and the site shadow of that attachment — replacing any link
+    /// not yet folded.  The next channel evaluation folds it into the mean
+    /// SNR, so a terminal whose channel is not read pays no path loss.
+    /// Panics if the store carries no path-loss profile or the distance is
+    /// negative or not finite.
     ///
     /// # Safety
     /// Exclusive access to terminal `i`.
-    pub(crate) unsafe fn set_mean_snr_db(&self, i: usize, mean_snr_db: f64) {
+    pub(crate) unsafe fn record_link(&self, i: usize, distance_m: f64, shadow_db: f64) {
         self.check(i);
-        assert!(mean_snr_db.is_finite(), "mean SNR must be finite");
-        *self.mean_snr_db.add(i) = mean_snr_db;
+        // Without a profile `pending_link` is dangling: this check is what
+        // keeps the write below in bounds.
+        assert!(self.path_loss.is_some(), "{NO_PATH_LOSS}");
+        *self.pending_link.add(i) = Some(PendingLink::new(distance_m, shadow_db));
     }
 
     /// Drops every buffered voice packet of terminal `i` and returns how
@@ -1089,6 +1204,90 @@ mod tests {
             differing > 100,
             "two terminals should have distinct traffic, {differing} frames differed"
         );
+    }
+
+    #[test]
+    fn pending_link_fold_matches_eager_path_loss_bit_for_bit() {
+        // Brute-force reference for the lazy serving link: one store
+        // evaluates the path loss at every write, its twin records the link
+        // and folds it at the first channel read.  Distances below the
+        // reference distance exercise the near-field clamp; zero to two
+        // writes per frame cover the drain/roam/merge re-writes and frames
+        // whose link is already folded.
+        let pl = PathLossConfig::default();
+        let clock = FrameClock::paper_default();
+        let frame_us = clock.frame_duration().as_micros();
+        let streams = RngStreams::new(41);
+        let n = 4u32;
+        for mode in [ChannelMode::Lazy, ChannelMode::Eager] {
+            let mut eager = TerminalColumns::new(clock, mode);
+            let mut lazy = TerminalColumns::with_path_loss(clock, mode, n as usize, pl);
+            for i in 0..n {
+                let class = if i % 2 == 0 {
+                    TerminalClass::Voice
+                } else {
+                    TerminalClass::Data
+                };
+                for cols in [&mut eager, &mut lazy] {
+                    cols.push(Terminal::new(
+                        TerminalId(i),
+                        class,
+                        clock,
+                        VoiceSourceConfig::default(),
+                        DataSourceConfig::default(),
+                        ChannelConfig::default(),
+                        mode,
+                        &SpeedProfile::Fixed(50.0),
+                        &streams,
+                    ));
+                }
+            }
+            assert_eq!(
+                eager.pending_link.capacity(),
+                0,
+                "a store without a path-loss profile allocates no pending links"
+            );
+            let mut rng = Xoshiro256StarStar::from_seed_u64(5);
+            let (mut reads, mut clamped) = (0u64, 0u64);
+            for k in 0..3_000u64 {
+                for i in 0..n as usize {
+                    assert_eq!(eager.begin_frame(i, k), lazy.begin_frame(i, k));
+                    for _ in 0..(3.0 * rng.next_f64()) as u64 {
+                        let d = if rng.next_f64() < 0.2 {
+                            rng.next_f64() * pl.reference_distance_m
+                        } else {
+                            rng.next_f64() * 1_500.0
+                        };
+                        clamped += (d < pl.reference_distance_m) as u64;
+                        let shadow_db = pl.draw_site_shadow_db(&mut rng);
+                        eager.mean_snr_db[i] = pl.mean_snr_db(d) + shadow_db;
+                        lazy.record_link(i, d, shadow_db);
+                    }
+                    if rng.next_f64() < 0.3 {
+                        // One to three reads at non-decreasing instants of
+                        // the frame, repeats included (the lazy memo).
+                        let mut t = clock.frame_start(k);
+                        for _ in 0..1 + (3.0 * rng.next_f64()) as u64 {
+                            let step = (rng.next_f64() * (frame_us / 4) as f64) as u64;
+                            t += SimDuration::from_micros(step);
+                            let want = eager.true_snr_db(i, t);
+                            let got = lazy.true_snr_db(i, t);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{mode:?} frame {k} terminal {i}: {got} vs {want}"
+                            );
+                            reads += 1;
+                        }
+                    }
+                }
+            }
+            assert!(reads > 5_000, "{mode:?}: only {reads} reads");
+            assert!(
+                clamped > 1_000,
+                "{mode:?}: only {clamped} clamped distances"
+            );
+        }
     }
 
     #[test]

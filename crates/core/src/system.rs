@@ -18,10 +18,14 @@
 //!    their handoff admission queues, oldest first.
 //! 2. **Roam** (parallel per cell): each member's traffic sources advance
 //!    (counters attributed to the serving cell), its random-waypoint motion
-//!    steps, its mean SNR is re-pointed from the distance to its serving
-//!    base station ([`PathLossConfig`]), and — when a different base station
-//!    has become closer by the hysteresis margin — a handoff attempt is
-//!    recorded in the cell's **mailbox**.  Nothing cross-cell is touched.
+//!    steps, its serving link (the distance to its base station and the
+//!    site shadow) is recorded in the terminal columns, and — when a
+//!    different base station has become closer by the hysteresis margin — a
+//!    handoff attempt is recorded in the cell's **mailbox**.  Nothing
+//!    cross-cell is touched.  The log-distance path loss
+//!    ([`PathLossConfig`]) is not evaluated here: the first channel
+//!    evaluation in the MAC step folds the recorded link into the mean SNR,
+//!    so only terminals whose channel is read pay for it.
 //!    The nearest base station is cached per terminal and the cell centres
 //!    are rescanned only once the terminal could have crossed a Voronoi
 //!    bisector, so a frame costs O(terminals), not O(terminals × cells).
@@ -321,10 +325,11 @@ impl SystemWorld {
             "terminal population + cell count must stay below 2^31 to keep \
              DOMAIN_PROTOCOL speed streams and cell streams disjoint"
         );
-        let mut terminals = TerminalColumns::with_capacity(
+        let mut terminals = TerminalColumns::with_path_loss(
             clock,
             config.channel_mode,
             (system.cells * per_cell) as usize,
+            system.path_loss,
         );
         let mut roam = Vec::with_capacity((system.cells * per_cell) as usize);
         let mut cells = Vec::with_capacity(system.cells as usize);
@@ -366,10 +371,10 @@ impl SystemWorld {
                     RandomWaypoint::new(start, terminal.mobility().speed_kmh, &bounds, &mut rng);
                 let shadow_db = system.path_loss.draw_site_shadow_db(&mut rng);
                 let distance = motion.position().distance_m(centers[c as usize]);
-                terminal.set_mean_snr_db(system.path_loss.mean_snr_db(distance) + shadow_db);
                 // Global ids ascend across the cell loop, matching the
                 // columnar store's push-in-index-order contract.
                 terminals.push(terminal);
+                terminals.record_link(idx as usize, distance, shadow_db);
                 roam.push(RoamState {
                     serving: c,
                     motion,
@@ -664,8 +669,8 @@ unsafe fn has_room(grid: &ShardGrid, ctx: &FrameCtx<'_>, cell: u32) -> bool {
 /// Migrates terminal `i` from its serving cell to `target`: the old MAC
 /// forgets it, its buffered voice packets are lost to the hard-handoff link
 /// interruption, it draws a fresh site-shadowing offset for the new link,
-/// and its mean SNR is re-pointed at the new base station immediately (the
-/// new cell's MAC must never serve it through the old cell's path loss).
+/// and the new link is recorded immediately (the new cell's MAC must never
+/// serve it through the old cell's path loss).
 ///
 /// `count_flow` gates the success/flow counters: it is the `measuring` flag
 /// of the frame that *recorded the attempt*, so attempts ≥ successes and
@@ -707,8 +712,7 @@ unsafe fn migrate(
         .motion
         .position()
         .distance_m(ctx.centers[target as usize]);
-    let snr_db = ctx.system.path_loss.mean_snr_db(d) + roam.shadow_db;
-    grid.columns.set_mean_snr_db(i, snr_db);
+    grid.columns.record_link(i, d, roam.shadow_db);
 }
 
 /// Phase 1: admits queued terminals into every cell that has room, oldest
@@ -741,9 +745,10 @@ unsafe fn drain_admission_queues(
 }
 
 /// Phase 2 for one cell: traffic boundaries (counters attributed to this
-/// cell), mobility, path-loss SNR re-pointing, and handoff decisions
-/// recorded into this cell's mailbox.  Touches only this cell's state and
-/// its members' per-terminal state, so distinct cells may run concurrently.
+/// cell), mobility, the serving link recorded for the path-loss fold, and
+/// handoff decisions recorded into this cell's mailbox.  Touches only this
+/// cell's state and its members' per-terminal state, so distinct cells may
+/// run concurrently.
 ///
 /// # Safety
 ///
@@ -781,14 +786,14 @@ unsafe fn roam_phase(
             metrics.data.arrived += tr.data_packets_arrived as u64;
         }
 
-        // Mobility and path loss.
+        // Mobility and the serving link (folded into the mean SNR only if
+        // the MAC reads this terminal's channel).
         let roam = grid.roam(i);
         debug_assert_eq!(roam.serving, c as u32);
         roam.motion.advance(ctx.dt_secs, ctx.bounds, &mut roam.rng);
         let pos = roam.motion.position();
         let d_serving = pos.distance_m(ctx.centers[c]);
-        let snr_db = ctx.system.path_loss.mean_snr_db(d_serving) + roam.shadow_db;
-        grid.columns.set_mean_snr_db(i, snr_db);
+        grid.columns.record_link(i, d_serving, roam.shadow_db);
 
         // Nearest base station (Voronoi cell of the current position).
         let (nearest, d_nearest) = roam.nearest.lookup(ctx.centers, pos, c as u32, d_serving);

@@ -179,14 +179,6 @@ impl Terminal {
     pub fn mobility(&self) -> &Mobility {
         self.channel.mobility()
     }
-
-    /// Re-points the channel's mean SNR (dB).  The multi-cell system layer
-    /// calls this while placing terminals at construction time; once a
-    /// terminal is pushed into a columnar store, updates go through
-    /// `TerminalColumns`/`ColumnsView::set_mean_snr_db` instead.
-    pub fn set_mean_snr_db(&mut self, mean_snr_db: f64) {
-        self.channel.set_mean_snr_db(mean_snr_db);
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +225,6 @@ mod tests {
     fn into_parts_preserves_identity_and_streams() {
         let mut t = make(TerminalClass::Voice, 3);
         t.set_active_from_frame(17);
-        t.set_mean_snr_db(21.5);
         let talk = t.in_talkspurt();
         assert_eq!(t.id, TerminalId(0));
         assert_eq!(t.class, TerminalClass::Voice);
@@ -242,7 +233,10 @@ mod tests {
         assert!(t.voice_source.is_some());
         assert!(t.data_source.is_none());
         let channel = t.channel.into_parts();
-        assert_eq!(channel.config.mean_snr_db, 21.5);
+        assert_eq!(
+            channel.config.mean_snr_db,
+            ChannelConfig::default().mean_snr_db
+        );
         assert_eq!(channel.now, SimTime::ZERO);
     }
 
