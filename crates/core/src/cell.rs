@@ -18,9 +18,9 @@
 //! within a frame without sharing a generator — the property the sharded
 //! [`crate::system::SystemWorld`] path builds on.
 
+use crate::columns::FrameTraffic;
 use crate::config::SimConfig;
 use crate::protocols::UplinkMac;
-use crate::terminal::FrameTraffic;
 use crate::world::{FrameScratch, FrameWorld, TerminalTable};
 use charisma_des::{RngStreams, StreamId, Xoshiro256StarStar};
 use charisma_metrics::RunMetrics;
@@ -157,8 +157,6 @@ impl Cell {
 mod tests {
     use super::*;
     use crate::protocols::ProtocolKind;
-    use crate::terminal::Terminal;
-    use charisma_traffic::TerminalClass;
 
     #[test]
     fn cell_zero_reproduces_the_historical_streams() {
@@ -192,22 +190,15 @@ mod tests {
     #[test]
     fn step_runs_a_mac_frame_and_counts_measured_frames() {
         use crate::columns::TerminalColumns;
-        let config = SimConfig::quick_test();
+        let config = SimConfig {
+            num_voice: 4,
+            num_data: 0,
+            ..SimConfig::quick_test()
+        };
         let streams = RngStreams::new(config.seed);
-        let clock = config.clock();
-        let mut columns = TerminalColumns::with_capacity(clock, config.channel_mode, 4);
-        for i in 0..4 {
-            columns.push(Terminal::new(
-                TerminalId(i),
-                TerminalClass::Voice,
-                clock,
-                config.voice_source,
-                config.data_source,
-                config.channel,
-                config.channel_mode,
-                &config.speed,
-                &streams,
-            ));
+        let mut columns = TerminalColumns::new(&config, 4, None);
+        for local in 0..4 {
+            columns.push_terminal(&config, &streams, 0, local);
         }
         let mut traffic = vec![FrameTraffic::default(); columns.len()];
         let mut cell = Cell::new(&config, &streams, 0, (0..4).map(TerminalId).collect());

@@ -1,11 +1,28 @@
 //! Structure-of-arrays storage for protocol-independent terminal state.
 //!
 //! [`TerminalColumns`] owns the per-terminal state of a whole population as
-//! parallel columns — one contiguous array per field — instead of a
-//! `Vec<Terminal>` of ~300-byte structs.  The per-frame sweep (source
-//! stepping, deadline expiry, fading advance, SNR sampling) then runs as
-//! tight loops over the columns it actually touches, which is what lets the
-//! frame loop batch well at 10k+ terminals per cell.
+//! parallel columns — one contiguous array per field — instead of one struct
+//! per terminal.  The per-frame sweep (source stepping, deadline expiry,
+//! fading advance, SNR sampling) then runs as tight loops over the columns it
+//! actually touches, which is what lets the frame loop batch well at 10k+
+//! terminals per cell.
+//!
+//! Everything here is *protocol independent*: a terminal's traffic sources
+//! and transmit buffers, its fading channel, and its private random streams
+//! for contention decisions and packet-error draws.  Protocol-specific state
+//! (reservations, pending requests, grants) lives in the protocol
+//! implementations, keyed by [`TerminalId`](charisma_traffic::TerminalId),
+//! so that the exact same population — same fading sample paths, same
+//! talkspurts, same data bursts — is presented to every protocol under
+//! comparison.
+//!
+//! # Construction
+//!
+//! `TerminalColumns::push_terminal` is the one construction path: it
+//! derives terminal `cell · per_cell + local`'s class, load-ramp dormancy and
+//! random streams from the scenario seed and writes each column in place, so
+//! no per-terminal record is ever staged.  The single-cell scenario is the
+//! `cell = 0` case of the system layer's per-cell loop.
 //!
 //! # Column layout
 //!
@@ -60,16 +77,33 @@
 //! pointers that the sharded system layer copies into its per-cell workers.
 //! Exclusivity is by *cell membership partition* — every terminal index
 //! belongs to exactly one cell per frame, and a worker only touches the
-//! indices of the cells it owns — which is the same soundness contract the
-//! previous `Vec<Terminal>`-based grid used, now concentrated in one type.
+//! indices of the cells it owns.
 
-use charisma_des::{FrameClock, SimTime, Xoshiro256StarStar};
-use charisma_radio::{ChannelMode, LongTermShadowing, PathLossConfig, ShortTermFading};
+use charisma_des::{FrameClock, RngStreams, SimTime, StreamId, Xoshiro256StarStar};
+use charisma_radio::{
+    ChannelMode, CombinedChannel, LongTermShadowing, Mobility, PathLossConfig, ShortTermFading,
+};
 use charisma_traffic::{
     buffer::VoicePacket, DataBuffer, DataSource, TerminalClass, VoiceBuffer, VoiceSource,
 };
+use serde::{Deserialize, Serialize};
 
-use crate::terminal::{FrameTraffic, Terminal};
+use crate::config::SimConfig;
+
+/// What happened at a terminal at the start of a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct FrameTraffic {
+    /// A new talkspurt started (the terminal must request an uplink grant).
+    pub talkspurt_started: bool,
+    /// The current talkspurt ended (any reservation should be released).
+    pub talkspurt_ended: bool,
+    /// A voice packet was generated at this boundary.
+    pub voice_packet_generated: bool,
+    /// Number of data packets that arrived at this boundary.
+    pub data_packets_arrived: u32,
+    /// Voice packets dropped at this boundary because their deadline expired.
+    pub voice_packets_dropped: u32,
+}
 
 /// Population-wide sums of one frame boundary's traffic events, accumulated
 /// by [`TerminalColumns::begin_frame_all`] alongside the per-terminal
@@ -122,9 +156,9 @@ const NO_PATH_LOSS: &str = "serving links need a store with a path-loss profile"
 
 /// Structure-of-arrays store of every terminal's protocol-independent state.
 ///
-/// Built by pushing [`Terminal`] construction records in index order; from
-/// then on all per-frame behaviour (traffic advance, channel stepping, SNR
-/// sampling, buffer service) is expressed over column indices.
+/// Built with `push_terminal` in index order; from then on all per-frame
+/// behaviour (traffic advance, channel stepping, SNR sampling, buffer
+/// service) is expressed over column indices.
 #[derive(Debug)]
 pub struct TerminalColumns {
     clock: FrameClock,
@@ -162,38 +196,19 @@ pub struct TerminalColumns {
 }
 
 impl TerminalColumns {
-    /// Creates an empty store for a population driven by `clock` whose
-    /// channels advance in `channel_mode`.
-    pub fn new(clock: FrameClock, channel_mode: ChannelMode) -> Self {
-        Self::with_capacity(clock, channel_mode, 0)
-    }
-
-    /// Like [`TerminalColumns::new`] with pre-allocated column capacity.
-    pub fn with_capacity(clock: FrameClock, channel_mode: ChannelMode, capacity: usize) -> Self {
-        Self::build(clock, channel_mode, capacity, None)
-    }
-
-    /// A store whose mean SNRs follow serving links recorded with
-    /// [`TerminalColumns::record_link`] through `path_loss` (the multi-cell
-    /// system layer).
-    pub(crate) fn with_path_loss(
-        clock: FrameClock,
-        channel_mode: ChannelMode,
-        capacity: usize,
-        path_loss: PathLossConfig,
-    ) -> Self {
-        Self::build(clock, channel_mode, capacity, Some(path_loss))
-    }
-
-    fn build(
-        clock: FrameClock,
-        channel_mode: ChannelMode,
+    /// An empty store with room for `capacity` terminals of `config`'s
+    /// population.  With a `path_loss` profile the mean SNRs follow serving
+    /// links recorded with [`TerminalColumns::record_link`] (the multi-cell
+    /// system layer); without one they stay at the configured operating
+    /// point.
+    pub(crate) fn new(
+        config: &SimConfig,
         capacity: usize,
         path_loss: Option<PathLossConfig>,
     ) -> Self {
         TerminalColumns {
-            clock,
-            channel_mode,
+            clock: config.clock(),
+            channel_mode: config.channel_mode,
             class: Vec::with_capacity(capacity),
             active_from_frame: Vec::with_capacity(capacity),
             in_talkspurt: Vec::with_capacity(capacity),
@@ -215,35 +230,106 @@ impl TerminalColumns {
         }
     }
 
-    /// Moves `terminal`'s fields into the columns.  Terminals must be pushed
-    /// in ascending index order so slot `i` is `TerminalId(i)`.
-    pub fn push(&mut self, terminal: Terminal) {
+    /// Builds terminal `cell · per_cell + local` of `config`'s starting
+    /// population straight into the columns and returns its mobility (the
+    /// speed the system layer's random waypoint moves at).
+    ///
+    /// Every cell starts with `per_cell = num_voice + num_data` terminals,
+    /// voice first; a load ramp keeps the voice terminals from
+    /// `initial_voice` on dormant until its activation frame.  Each random
+    /// stream is derived from the scenario seed and the global terminal
+    /// index, so the single cell (`cell = 0`) and cell 0 of a system build
+    /// the same terminals.  Terminals must be pushed in index order, so
+    /// that slot `i` is `TerminalId(i)`.
+    pub(crate) fn push_terminal(
+        &mut self,
+        config: &SimConfig,
+        streams: &RngStreams,
+        cell: u32,
+        local: u32,
+    ) -> Mobility {
+        let per_cell = config.num_voice + config.num_data;
+        debug_assert!(local < per_cell, "local index {local} outside the cell");
+        let idx = cell * per_cell + local;
         debug_assert_eq!(
-            terminal.id.index() as usize,
-            self.class.len(),
+            idx as usize,
+            self.len(),
             "terminals must be pushed in index order"
         );
-        debug_assert_eq!(terminal.clock, self.clock, "terminal clock mismatch");
-        debug_assert_eq!(
-            terminal.channel_mode, self.channel_mode,
-            "terminal channel mode mismatch"
+        debug_assert!(
+            config.clock() == self.clock && config.channel_mode == self.channel_mode,
+            "terminal built for another store's clock or channel mode"
         );
-        self.class.push(terminal.class);
-        self.active_from_frame.push(terminal.active_from_frame);
-        self.in_talkspurt.push(terminal.in_talkspurt);
+        let class = if local < config.num_voice {
+            TerminalClass::Voice
+        } else {
+            TerminalClass::Data
+        };
+        let active_from_frame = match &config.ramp {
+            Some(ramp) if class == TerminalClass::Voice && local >= ramp.initial_voice => {
+                ramp.activation_frame
+            }
+            _ => 0,
+        };
+        // Speed sampling borrows DOMAIN_PROTOCOL by mirroring the terminal
+        // index into the upper half of the entity space (`idx ^ 0x8000_0000`);
+        // per-cell base-station streams count down from `u32::MAX` in that
+        // same half (`StreamId::cell_entity`).  The two sub-ranges collide
+        // only when a terminal index reaches `0x7FFF_FFFF - cell`, so the
+        // scheme is sound for populations below 2^31 terminals; see the
+        // stream-derivation table in ARCHITECTURE.md.  Population-level
+        // guards live in the scenario/system constructors; this one pins the
+        // per-terminal half.
+        debug_assert!(
+            idx < 0x8000_0000,
+            "terminal index {idx:#010x} would escape the reserved \
+             DOMAIN_PROTOCOL speed-stream sub-range [0x8000_0000, 0xFFFF_FFFF]"
+        );
+        let mut speed_rng =
+            streams.stream(StreamId::new(StreamId::DOMAIN_PROTOCOL, idx ^ 0x8000_0000));
+        let mobility = Mobility::new(config.speed.sample(&mut speed_rng));
+        let channel = CombinedChannel::new(
+            config.channel,
+            mobility,
+            streams.stream(StreamId::new(StreamId::DOMAIN_CHANNEL, idx)),
+        )
+        .into_parts();
+        let (voice_source, data_source) = match class {
+            TerminalClass::Voice => (
+                Some(VoiceSource::new(
+                    config.voice_source,
+                    self.clock,
+                    streams.stream(StreamId::new(StreamId::DOMAIN_VOICE, idx)),
+                )),
+                None,
+            ),
+            TerminalClass::Data => (
+                None,
+                Some(DataSource::new(
+                    config.data_source,
+                    self.clock,
+                    streams.stream(StreamId::new(StreamId::DOMAIN_DATA, idx)),
+                )),
+            ),
+        };
+        let voice_buffer = VoiceBuffer::new();
+
+        self.class.push(class);
+        self.active_from_frame.push(active_from_frame);
+        self.in_talkspurt
+            .push(voice_source.as_ref().is_some_and(VoiceSource::is_talking));
         self.traffic_boundary.push(Self::boundary_for(
-            &terminal.voice_source,
-            &terminal.data_source,
-            &terminal.voice_buffer,
-            terminal.active_from_frame,
+            &voice_source,
+            &data_source,
+            &voice_buffer,
+            active_from_frame,
             0,
             self.clock.frame_duration().as_micros(),
         ));
-        self.voice_source.push(terminal.voice_source);
-        self.voice_buffer.push(terminal.voice_buffer);
-        self.data_source.push(terminal.data_source);
-        self.data_buffer.push(terminal.data_buffer);
-        let channel = terminal.channel.into_parts();
+        self.voice_source.push(voice_source);
+        self.voice_buffer.push(voice_buffer);
+        self.data_source.push(data_source);
+        self.data_buffer.push(DataBuffer::new());
         self.mean_snr_db.push(channel.config.mean_snr_db);
         if self.path_loss.is_some() {
             self.pending_link.push(None);
@@ -253,8 +339,11 @@ impl TerminalColumns {
         self.chan_rng.push(channel.rng);
         self.chan_now.push(channel.now);
         self.snr_cache.push(None);
-        self.contention_rng.push(terminal.contention_rng);
-        self.phy_rng.push(terminal.phy_rng);
+        self.contention_rng
+            .push(streams.stream(StreamId::new(StreamId::DOMAIN_CONTENTION, idx)));
+        self.phy_rng
+            .push(streams.stream(StreamId::new(StreamId::DOMAIN_PHY, idx)));
+        mobility
     }
 
     /// First frame at which `begin_frame` must do any work for a terminal in
@@ -975,33 +1064,126 @@ impl ColumnsView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charisma_des::{RngStreams, SimDuration};
+    use crate::config::LoadRamp;
+    use charisma_des::SimDuration;
     use charisma_radio::{ChannelConfig, SpeedProfile};
-    use charisma_traffic::{DataSourceConfig, TerminalId, VoiceSourceConfig};
 
-    fn terminal(i: u32, class: TerminalClass, seed: u64, mode: ChannelMode) -> Terminal {
-        let streams = RngStreams::new(seed);
-        Terminal::new(
-            TerminalId(i),
-            class,
-            FrameClock::paper_default(),
-            VoiceSourceConfig::default(),
-            DataSourceConfig::default(),
-            ChannelConfig::default(),
-            mode,
-            &SpeedProfile::Fixed(50.0),
-            &streams,
-        )
+    /// A quick-test population of `num_voice` voice then `num_data` data
+    /// terminals in one cell.
+    fn config(num_voice: u32, num_data: u32, seed: u64, mode: ChannelMode) -> SimConfig {
+        SimConfig {
+            num_voice,
+            num_data,
+            seed,
+            channel_mode: mode,
+            ..SimConfig::quick_test()
+        }
     }
 
-    fn make_mode(class: TerminalClass, seed: u64, mode: ChannelMode) -> TerminalColumns {
-        let mut cols = TerminalColumns::new(FrameClock::paper_default(), mode);
-        cols.push(terminal(0, class, seed, mode));
+    /// Builds every terminal of `config`'s single cell into a store.
+    fn build(config: &SimConfig, path_loss: Option<PathLossConfig>) -> TerminalColumns {
+        let n = config.num_voice + config.num_data;
+        let streams = RngStreams::new(config.seed);
+        let mut cols = TerminalColumns::new(config, n as usize, path_loss);
+        for local in 0..n {
+            cols.push_terminal(config, &streams, 0, local);
+        }
         cols
+    }
+
+    /// A store holding one terminal of `class`.
+    fn make_mode(class: TerminalClass, seed: u64, mode: ChannelMode) -> TerminalColumns {
+        let (voice, data) = match class {
+            TerminalClass::Voice => (1, 0),
+            TerminalClass::Data => (0, 1),
+        };
+        build(&config(voice, data, seed, mode), None)
     }
 
     fn make(class: TerminalClass, seed: u64) -> TerminalColumns {
         make_mode(class, seed, ChannelMode::Lazy)
+    }
+
+    /// One voice terminal that stays dormant until `activation_frame`.
+    fn dormant(seed: u64, activation_frame: u64) -> TerminalColumns {
+        let mut cfg = config(1, 0, seed, ChannelMode::Lazy);
+        cfg.ramp = Some(LoadRamp {
+            initial_voice: 0,
+            activation_frame,
+        });
+        build(&cfg, None)
+    }
+
+    #[test]
+    fn construction_sets_class_and_identity() {
+        let v = make(TerminalClass::Voice, 1);
+        assert_eq!(v.len(), 1, "the first terminal is slot 0, TerminalId(0)");
+        assert_eq!(v.class(0), TerminalClass::Voice);
+        assert!(v.is_active_at(0, 0));
+        let d = make(TerminalClass::Data, 1);
+        assert_eq!(d.class(0), TerminalClass::Data);
+        assert!(!d.in_talkspurt(0), "data terminals never talk");
+        // Voice first: the ids after `num_voice` are the data terminals.
+        let both = build(&config(1, 1, 1, ChannelMode::Lazy), None);
+        assert_eq!(both.class(0), TerminalClass::Voice);
+        assert_eq!(both.class(1), TerminalClass::Data);
+    }
+
+    #[test]
+    fn load_ramp_defers_activation() {
+        let t = dormant(2, 4_000);
+        assert!(!t.is_active_at(0, 0));
+        assert!(!t.is_active_at(0, 3_999));
+        assert!(t.is_active_at(0, 4_000));
+        // Only the voice terminals from `initial_voice` on are deferred.
+        let mut cfg = config(2, 1, 2, ChannelMode::Lazy);
+        cfg.ramp = Some(LoadRamp {
+            initial_voice: 1,
+            activation_frame: 4_000,
+        });
+        let cols = build(&cfg, None);
+        assert!(cols.is_active_at(0, 0));
+        assert!(!cols.is_active_at(1, 3_999));
+        assert!(cols.is_active_at(2, 0), "data terminals never ramp");
+    }
+
+    #[test]
+    fn into_parts_preserves_identity_and_streams() {
+        let t = dormant(3, 17);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.class[0], TerminalClass::Voice);
+        assert_eq!(t.active_from_frame[0], 17);
+        let source = t.voice_source[0].as_ref().expect("a voice source");
+        assert_eq!(t.in_talkspurt[0], source.is_talking());
+        assert!(t.data_source[0].is_none());
+        assert_eq!(t.mean_snr_db[0], ChannelConfig::default().mean_snr_db);
+        assert_eq!(t.chan_now[0], SimTime::ZERO);
+    }
+
+    #[test]
+    fn mobility_speed_comes_from_the_reserved_protocol_stream() {
+        // Two seeds give different sampled speeds under a random profile,
+        // pinning that the speed draw really consumes the mirrored
+        // DOMAIN_PROTOCOL stream (a fixed profile ignores the draw).
+        let speed = SpeedProfile::Uniform {
+            min_kmh: 10.0,
+            max_kmh: 90.0,
+        };
+        let mk = |seed: u64| {
+            let cfg = SimConfig {
+                speed,
+                ..config(1, 0, seed, ChannelMode::Lazy)
+            };
+            let streams = RngStreams::new(seed);
+            let mut cols = TerminalColumns::new(&cfg, 1, None);
+            let mobility = cols.push_terminal(&cfg, &streams, 0, 0);
+            let mut rng = streams.stream(StreamId::new(StreamId::DOMAIN_PROTOCOL, 0x8000_0000));
+            assert_eq!(mobility.speed_kmh, speed.sample(&mut rng));
+            mobility
+        };
+        let a = mk(100).speed_kmh;
+        let b = mk(101).speed_kmh;
+        assert_ne!(a, b, "speed should depend on the scenario seed");
     }
 
     #[test]
@@ -1133,10 +1315,7 @@ mod tests {
 
     #[test]
     fn dormant_terminal_reports_nothing_then_wakes_up() {
-        let mut ramped = terminal(0, TerminalClass::Voice, 21, ChannelMode::Lazy);
-        ramped.set_active_from_frame(4_000);
-        let mut t = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        t.push(ramped);
+        let mut t = dormant(21, 4_000);
         for k in 0..4_000u64 {
             assert!(!t.is_active_at(0, k));
             let tr = t.begin_frame(0, k);
@@ -1158,10 +1337,7 @@ mod tests {
         // activation frame the terminal behaves draw-for-draw like an
         // always-active twin.
         let mut active = make(TerminalClass::Voice, 22);
-        let mut deferred = terminal(0, TerminalClass::Voice, 22, ChannelMode::Lazy);
-        deferred.set_active_from_frame(2_000);
-        let mut ramped = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        ramped.push(deferred);
+        let mut ramped = dormant(22, 2_000);
         for k in 0..2_000u64 {
             let _ = active.begin_frame(0, k);
             let _ = ramped.begin_frame(0, k);
@@ -1179,21 +1355,7 @@ mod tests {
 
     #[test]
     fn different_terminal_ids_get_different_traffic() {
-        let mut cols = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        let streams = RngStreams::new(7);
-        for i in 0..2u32 {
-            cols.push(Terminal::new(
-                TerminalId(i),
-                TerminalClass::Voice,
-                FrameClock::paper_default(),
-                VoiceSourceConfig::default(),
-                DataSourceConfig::default(),
-                ChannelConfig::default(),
-                ChannelMode::Lazy,
-                &SpeedProfile::Fixed(50.0),
-                &streams,
-            ));
-        }
+        let mut cols = build(&config(2, 0, 7, ChannelMode::Lazy), None);
         let mut differing = 0;
         for k in 0..10_000u64 {
             if cols.begin_frame(0, k) != cols.begin_frame(1, k) {
@@ -1215,33 +1377,13 @@ mod tests {
         // writes per frame cover the drain/roam/merge re-writes and frames
         // whose link is already folded.
         let pl = PathLossConfig::default();
-        let clock = FrameClock::paper_default();
-        let frame_us = clock.frame_duration().as_micros();
-        let streams = RngStreams::new(41);
         let n = 4u32;
         for mode in [ChannelMode::Lazy, ChannelMode::Eager] {
-            let mut eager = TerminalColumns::new(clock, mode);
-            let mut lazy = TerminalColumns::with_path_loss(clock, mode, n as usize, pl);
-            for i in 0..n {
-                let class = if i % 2 == 0 {
-                    TerminalClass::Voice
-                } else {
-                    TerminalClass::Data
-                };
-                for cols in [&mut eager, &mut lazy] {
-                    cols.push(Terminal::new(
-                        TerminalId(i),
-                        class,
-                        clock,
-                        VoiceSourceConfig::default(),
-                        DataSourceConfig::default(),
-                        ChannelConfig::default(),
-                        mode,
-                        &SpeedProfile::Fixed(50.0),
-                        &streams,
-                    ));
-                }
-            }
+            let cfg = config(n / 2, n / 2, 41, mode);
+            let clock = cfg.clock();
+            let frame_us = clock.frame_duration().as_micros();
+            let mut eager = build(&cfg, None);
+            let mut lazy = build(&cfg, Some(pl));
             assert_eq!(
                 eager.pending_link.capacity(),
                 0,
@@ -1292,31 +1434,9 @@ mod tests {
 
     #[test]
     fn columnar_begin_frame_all_matches_per_terminal_calls() {
-        let streams = RngStreams::new(33);
-        let mk = |cols: &mut TerminalColumns, i: u32, class: TerminalClass| {
-            cols.push(Terminal::new(
-                TerminalId(i),
-                class,
-                FrameClock::paper_default(),
-                VoiceSourceConfig::default(),
-                DataSourceConfig::default(),
-                ChannelConfig::default(),
-                ChannelMode::Lazy,
-                &SpeedProfile::Fixed(50.0),
-                &streams,
-            ));
-        };
-        let mut a = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        let mut b = TerminalColumns::new(FrameClock::paper_default(), ChannelMode::Lazy);
-        for i in 0..6u32 {
-            let class = if i % 2 == 0 {
-                TerminalClass::Voice
-            } else {
-                TerminalClass::Data
-            };
-            mk(&mut a, i, class);
-            mk(&mut b, i, class);
-        }
+        let cfg = config(3, 3, 33, ChannelMode::Lazy);
+        let mut a = build(&cfg, None);
+        let mut b = build(&cfg, None);
         let mut batched = vec![FrameTraffic::default(); 6];
         for k in 0..3_000u64 {
             a.begin_frame_all(k, &mut batched);

@@ -358,7 +358,8 @@ pub struct SystemConfig {
     /// execution hint: `0` or `1` runs every cell on the calling thread,
     /// and any value produces **byte-identical** reports (the determinism
     /// suite pins this), so it never changes what a run means — only how
-    /// fast a city-scale layout steps its cells.
+    /// fast a city-scale layout steps its cells.  A run uses at most one
+    /// worker per cell and one per available core.
     pub threads: u32,
 }
 

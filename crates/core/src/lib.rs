@@ -12,10 +12,10 @@
 //! * the six uplink MAC protocols the paper compares — CHARISMA, D-TDMA/FR,
 //!   D-TDMA/VR, RAMA, RMAV and DRMA — behind one [`protocols::UplinkMac`]
 //!   trait;
-//! * the common simulation platform: the terminal population
-//!   ([`terminal::Terminal`] construction records stored columnar-ly in
-//!   [`columns::TerminalColumns`]), the per-frame execution environment
-//!   ([`world::FrameWorld`]) and the scenario runner ([`scenario::Scenario`]);
+//! * the common simulation platform: the terminal population (built straight
+//!   into the structure-of-arrays store [`columns::TerminalColumns`]), the
+//!   per-frame execution environment ([`world::FrameWorld`]) and the scenario
+//!   runner ([`scenario::Scenario`]);
 //! * the scenario configuration ([`config::SimConfig`]) encoding the paper's
 //!   Table 1 parameters;
 //! * multi-threaded parameter sweeps ([`sweep`]) used by the benchmark
@@ -58,12 +58,11 @@ pub mod scenario;
 pub mod spec;
 pub mod sweep;
 pub mod system;
-pub mod terminal;
 pub mod world;
 
 pub use campaign::{Campaign, CampaignRow, CampaignRun};
 pub use cell::Cell;
-pub use columns::{TerminalColumns, TrafficTotals};
+pub use columns::{FrameTraffic, TerminalColumns, TrafficTotals};
 pub use config::{
     CharismaParams, ContentionConfig, FrameStructure, HandoffAdmission, HandoffConfig, Layout,
     LoadRamp, SimConfig, SystemConfig,
@@ -81,7 +80,6 @@ pub use sweep::{
     voice_load_sweep, ReplicatedResult, ReplicationPolicy, SweepPoint, SweepResult,
 };
 pub use system::{cell_centers, flat_path_loss, hex_cells_for_rings, layout_bounds, SystemWorld};
-pub use terminal::{FrameTraffic, Terminal};
 pub use world::{DataTx, FrameScratch, FrameWorld, LinkAdaptation, VoiceTx};
 
 // Re-export the substrate crates so downstream users need only one dependency.

@@ -2,14 +2,13 @@
 //! frame-synchronous simulation loop and produces a [`RunReport`].
 
 use crate::cell::Cell;
-use crate::columns::TerminalColumns;
+use crate::columns::{FrameTraffic, TerminalColumns};
 use crate::config::SimConfig;
 use crate::protocols::{ProtocolKind, UplinkMac};
 use crate::system::SystemWorld;
-use crate::terminal::{FrameTraffic, Terminal};
 use charisma_des::RngStreams;
 use charisma_metrics::RunMetrics;
-use charisma_traffic::{TerminalClass, TerminalId};
+use charisma_traffic::TerminalId;
 use serde::{Deserialize, Serialize};
 
 /// The outcome of one simulation run.
@@ -98,46 +97,6 @@ impl Scenario {
         &self.config
     }
 
-    /// Builds the terminal population: voice terminals first (ids
-    /// `0..num_voice`), then data terminals.  Identical across protocols for
-    /// a given seed — the "common simulation platform" property.  Traffic
-    /// sample paths (talkspurts, data bursts) are draw-for-draw identical
-    /// across protocols; under the default lazy channel evaluation the
-    /// fading paths are statistically equivalent but their realised draws
-    /// depend on when each protocol samples the SNR (use
-    /// `ChannelMode::Eager` for exact channel pairing).
-    fn build_terminals(&self, streams: &RngStreams) -> Vec<Terminal> {
-        let clock = self.config.clock();
-        (0..self.config.num_voice + self.config.num_data)
-            .map(|i| {
-                let class = if i < self.config.num_voice {
-                    TerminalClass::Voice
-                } else {
-                    TerminalClass::Data
-                };
-                let mut terminal = Terminal::new(
-                    TerminalId(i),
-                    class,
-                    clock,
-                    self.config.voice_source,
-                    self.config.data_source,
-                    self.config.channel,
-                    self.config.channel_mode,
-                    &self.config.speed,
-                    streams,
-                );
-                // A load ramp keeps the tail of the voice population dormant
-                // until its activation frame (see [`crate::config::LoadRamp`]).
-                if let Some(ramp) = &self.config.ramp {
-                    if class == TerminalClass::Voice && i >= ramp.initial_voice {
-                        terminal.set_active_from_frame(ramp.activation_frame);
-                    }
-                }
-                terminal
-            })
-            .collect()
-    }
-
     /// Runs the scenario under the given protocol and returns the report.
     ///
     /// A configuration with a multi-cell [`crate::config::SystemConfig`]
@@ -174,22 +133,28 @@ impl Scenario {
              DOMAIN_PROTOCOL speed streams and cell streams disjoint"
         );
         let streams = RngStreams::new(config.seed);
-        let terminals = self.build_terminals(&streams);
+        // The terminal population: voice terminals first (ids
+        // `0..num_voice`), then data terminals, built as cell 0 of the
+        // system layer's per-cell loop.  Identical across protocols for a
+        // given seed — the "common simulation platform" property.  Traffic
+        // sample paths (talkspurts, data bursts) are draw-for-draw identical
+        // across protocols; under the default lazy channel evaluation the
+        // fading paths are statistically equivalent but their realised draws
+        // depend on when each protocol samples the SNR (use
+        // `ChannelMode::Eager` for exact channel pairing).
+        let population = config.num_voice + config.num_data;
+        let mut columns = TerminalColumns::new(config, population as usize, None);
+        for local in 0..population {
+            columns.push_terminal(config, &streams, 0, local);
+        }
         // The implicit single cell: every terminal attached, cell index 0
         // (which derives the historical estimator / base-station streams).
         let mut cell = Cell::new(
             config,
             &streams,
             0,
-            terminals.iter().map(|t| t.id()).collect(),
+            (0..population).map(TerminalId).collect(),
         );
-        // Decompose the construction records into the structure-of-arrays
-        // store the frame loop sweeps over.
-        let mut columns =
-            TerminalColumns::with_capacity(config.clock(), config.channel_mode, terminals.len());
-        for terminal in terminals {
-            columns.push(terminal);
-        }
 
         let mut traffic: Vec<FrameTraffic> = vec![FrameTraffic::default(); columns.len()];
         let total = config.total_frames();

@@ -55,16 +55,15 @@
 //! the equivalence is pinned by a test below.
 
 use crate::cell::Cell;
-use crate::columns::{ColumnsView, TerminalColumns};
+use crate::columns::{ColumnsView, FrameTraffic, TerminalColumns};
 use crate::config::{HandoffAdmission, Layout, SimConfig, SystemConfig};
 use crate::protocols::{ProtocolKind, UplinkMac};
 use crate::scenario::RunReport;
-use crate::terminal::{FrameTraffic, Terminal};
 use crate::world::TerminalTable;
 use charisma_des::{RngStreams, StreamId, Xoshiro256StarStar};
 use charisma_metrics::{CellCounters, HandoffStats, RunMetrics, RunningStat};
 use charisma_radio::{Bounds, PathLossConfig, Position, RandomWaypoint};
-use charisma_traffic::{TerminalClass, TerminalId};
+use charisma_traffic::TerminalId;
 use std::collections::VecDeque;
 use std::sync::Barrier;
 
@@ -311,7 +310,6 @@ impl SystemWorld {
             .system
             .expect("SystemWorld needs a SimConfig with a system section");
         let streams = RngStreams::new(config.seed);
-        let clock = config.clock();
         let per_cell = config.num_voice + config.num_data;
         let centers = cell_centers(&system.layout, system.cells);
         let bounds = layout_bounds(&centers, system.layout.cell_radius_m());
@@ -325,11 +323,10 @@ impl SystemWorld {
             "terminal population + cell count must stay below 2^31 to keep \
              DOMAIN_PROTOCOL speed streams and cell streams disjoint"
         );
-        let mut terminals = TerminalColumns::with_path_loss(
-            clock,
-            config.channel_mode,
+        let mut terminals = TerminalColumns::new(
+            &config,
             (system.cells * per_cell) as usize,
-            system.path_loss,
+            Some(system.path_loss),
         );
         let mut roam = Vec::with_capacity((system.cells * per_cell) as usize);
         let mut cells = Vec::with_capacity(system.cells as usize);
@@ -338,27 +335,9 @@ impl SystemWorld {
             let mut members = Vec::with_capacity(per_cell as usize);
             for local in 0..per_cell {
                 let idx = c * per_cell + local;
-                let class = if local < config.num_voice {
-                    TerminalClass::Voice
-                } else {
-                    TerminalClass::Data
-                };
-                let mut terminal = Terminal::new(
-                    TerminalId(idx),
-                    class,
-                    clock,
-                    config.voice_source,
-                    config.data_source,
-                    config.channel,
-                    config.channel_mode,
-                    &config.speed,
-                    &streams,
-                );
-                if let Some(ramp) = &config.ramp {
-                    if class == TerminalClass::Voice && local >= ramp.initial_voice {
-                        terminal.set_active_from_frame(ramp.activation_frame);
-                    }
-                }
+                // Global ids ascend across the cell loop, matching the
+                // columnar store's push-in-index-order contract.
+                let mobility = terminals.push_terminal(&config, &streams, c, local);
                 let mut rng = streams.stream(StreamId::new(StreamId::DOMAIN_MOBILITY, idx));
                 // Start uniformly inside the serving cell's disc.
                 let radius = system.layout.cell_radius_m() * rng.next_f64().sqrt();
@@ -367,13 +346,9 @@ impl SystemWorld {
                     centers[c as usize].x_m + radius * angle.cos(),
                     centers[c as usize].y_m + radius * angle.sin(),
                 );
-                let motion =
-                    RandomWaypoint::new(start, terminal.mobility().speed_kmh, &bounds, &mut rng);
+                let motion = RandomWaypoint::new(start, mobility.speed_kmh, &bounds, &mut rng);
                 let shadow_db = system.path_loss.draw_site_shadow_db(&mut rng);
                 let distance = motion.position().distance_m(centers[c as usize]);
-                // Global ids ascend across the cell loop, matching the
-                // columnar store's push-in-index-order contract.
-                terminals.push(terminal);
                 terminals.record_link(idx as usize, distance, shadow_db);
                 roam.push(RoamState {
                     serving: c,
@@ -441,10 +416,15 @@ impl SystemWorld {
     /// counters merged, plus the handoff statistics and per-cell breakdown.
     ///
     /// Cells are dealt to [`SystemConfig::threads`] workers (at least one,
-    /// at most one per cell), the calling thread being worker 0.  Every
-    /// thread count executes the same phase code in the same order of
-    /// effect, so the report — and every CSV rendered from it — is
-    /// byte-identical regardless of the thread count.
+    /// at most one per cell and one per core), the calling thread being
+    /// worker 0.  Every thread count executes the same phase code in the
+    /// same order of effect, so the report — and every CSV rendered from it
+    /// — is byte-identical regardless of the thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run breaks a system-layer invariant (population
+    /// conservation or handoff flow balance; see `check_invariants`).
     pub fn run(&mut self) -> RunReport {
         let total = self.config.total_frames();
         let warmup = self.config.warmup_frames;
@@ -453,7 +433,12 @@ impl SystemWorld {
             .clock()
             .frames_per(self.config.voice_source.deadline);
         let n_cells = self.cells.len();
-        let threads = (self.system.threads.max(1) as usize).min(n_cells);
+        // The thread count is an execution hint: more workers than cores
+        // only wait on each other at the barriers.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = (self.system.threads.max(1) as usize)
+            .min(n_cells)
+            .min(cores);
 
         {
             let n_terminals = self.terminals.len();
@@ -486,11 +471,7 @@ impl SystemWorld {
             run_sharded(&grid, &mut serial, &ctx, threads, total, warmup, drop_grace);
         }
 
-        debug_assert_eq!(
-            self.attached_ids_sorted().len(),
-            self.terminals.len(),
-            "handoff must conserve the terminal population"
-        );
+        self.check_invariants();
 
         let mut metrics = RunMetrics::default();
         for cell in &self.cells {
@@ -525,6 +506,43 @@ impl SystemWorld {
             seed: self.config.seed,
             metrics,
         }
+    }
+
+    /// Panics unless the run kept the system-layer invariants: every
+    /// terminal is attached to exactly one cell, the measured handoff
+    /// attempts cover the successes, and the per-cell inflow and outflow
+    /// each sum to the successes.  Checked in release builds too; the cost
+    /// is one pass over the memberships per run.
+    fn check_invariants(&self) {
+        let mut attached = vec![false; self.terminals.len()];
+        for id in self.cells.iter().flat_map(|c| c.members()) {
+            let seen = attached.get_mut(id.index() as usize);
+            assert!(
+                seen.is_some_and(|seen| !std::mem::replace(seen, true)),
+                "handoff must conserve the terminal population: {id:?} is \
+                 attached twice or is unknown"
+            );
+        }
+        assert!(
+            attached.iter().all(|&a| a),
+            "handoff must conserve the terminal population: a terminal is \
+             attached to no cell"
+        );
+        let handoff = &self.handoff;
+        assert!(
+            handoff.attempts >= handoff.successes,
+            "handoff attempts ({}) below successes ({})",
+            handoff.attempts,
+            handoff.successes
+        );
+        let inflow: u64 = self.handoff_in.iter().sum();
+        let outflow: u64 = self.handoff_out.iter().sum();
+        assert!(
+            inflow == handoff.successes && outflow == handoff.successes,
+            "handoff flows unbalanced: inflow {inflow}, outflow {outflow}, \
+             successes {}",
+            handoff.successes
+        );
     }
 }
 
@@ -1164,12 +1182,14 @@ mod tests {
     fn every_thread_count_gives_the_same_report() {
         // The full RunReport — every counter, every per-cell Welford
         // statistic — is identical between the default run and explicit
-        // thread counts, including a count that does not divide the cells
-        // and one above the cell count (clamped to one worker per cell).
+        // thread counts, including a count that does not divide the cells,
+        // one above the cell count (clamped to one worker per cell) and one
+        // above the core count (clamped to one worker per core).
         let mut cfg = small_config();
         cfg.system = Some(roaming_system(7));
         let reference = Scenario::new(cfg.clone()).run(ProtocolKind::Charisma);
-        for threads in [1u32, 2, 3, 4, 8] {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+        for threads in [1u32, 2, 3, 4, 8, 2 * cores] {
             let mut sharded_cfg = cfg.clone();
             let mut system = sharded_cfg.system.unwrap();
             system.threads = threads;
@@ -1247,6 +1267,56 @@ mod tests {
             .map(|c| c.voice.generated)
             .sum();
         assert_eq!(voice_sum, report.metrics.voice.generated);
+    }
+
+    #[test]
+    fn a_corrupted_world_fails_the_release_invariants() {
+        // Each corruption breaks one invariant that `run` checks with a
+        // plain `assert!`, so the check holds in release builds too.
+        let world = || {
+            let mut cfg = small_config();
+            cfg.warmup_frames = 50;
+            cfg.measured_frames = 500;
+            cfg.system = Some(roaming_system(4));
+            SystemWorld::new(cfg, ProtocolKind::DTdmaFr)
+        };
+        let panic_message = |mut world: SystemWorld| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| world.run()))
+                .expect_err("a corrupted world must not report");
+            match err.downcast::<String>() {
+                Ok(message) => *message,
+                Err(err) => err.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+            }
+        };
+        // A terminal detached from every cell is lost to the population.
+        let mut lost = world();
+        lost.cells[0].detach(TerminalId(0));
+        assert!(panic_message(lost).contains("conserve the terminal population"));
+        // An inflow that no success accounts for unbalances the flows.
+        let mut unbalanced = world();
+        unbalanced.handoff_in[2] += 1;
+        assert!(panic_message(unbalanced).contains("flows unbalanced"));
+        // Balanced flows for successes that no attempt recorded.
+        let mut unattempted = world();
+        unattempted.handoff.successes += 1_000_000;
+        unattempted.handoff_in[0] += 1_000_000;
+        unattempted.handoff_out[1] += 1_000_000;
+        assert!(panic_message(unattempted).contains("below successes"));
+        // A terminal served by two cells would trip the roam phase's own
+        // debug check, so that corruption goes straight to the final check.
+        let mut twice = world();
+        twice.run();
+        twice.cells[1].attach(TerminalId(0));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            twice.check_invariants();
+        }))
+        .expect_err("a duplicated terminal must fail the check");
+        assert!(err
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("attached twice")));
+        // The uncorrupted world passes every check.
+        let report = world().run();
+        assert!(report.metrics.handoff.successes > 0);
     }
 
     #[test]

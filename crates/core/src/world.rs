@@ -25,9 +25,8 @@
 //! id slice, and per-terminal reads go through [`FrameWorld::class`],
 //! [`FrameWorld::voice_backlog`], [`FrameWorld::has_backlog`] and friends.
 
-use crate::columns::{ColumnsView, TerminalColumns};
+use crate::columns::{ColumnsView, FrameTraffic, TerminalColumns};
 use crate::config::SimConfig;
-use crate::terminal::FrameTraffic;
 use charisma_des::{FrameClock, Sampler, SimTime, Xoshiro256StarStar};
 use charisma_metrics::RunMetrics;
 use charisma_phy::{AdaptivePhy, FixedPhy, Phy};
@@ -676,7 +675,6 @@ mod tests {
     use super::*;
     use crate::columns::TerminalColumns;
     use crate::config::SimConfig;
-    use crate::terminal::Terminal;
     use charisma_des::RngStreams;
     use charisma_radio::CsiEstimatorConfig;
 
@@ -693,26 +691,9 @@ mod tests {
         config.num_voice = n_voice;
         config.num_data = n_data;
         let streams = RngStreams::new(config.seed);
-        let clock = config.clock();
-        let mut columns =
-            TerminalColumns::with_capacity(clock, config.channel_mode, (n_voice + n_data) as usize);
-        for i in 0..n_voice + n_data {
-            let class = if i < n_voice {
-                TerminalClass::Voice
-            } else {
-                TerminalClass::Data
-            };
-            columns.push(Terminal::new(
-                TerminalId(i),
-                class,
-                clock,
-                config.voice_source,
-                config.data_source,
-                config.channel,
-                config.channel_mode,
-                &config.speed,
-                &streams,
-            ));
+        let mut columns = TerminalColumns::new(&config, (n_voice + n_data) as usize, None);
+        for local in 0..n_voice + n_data {
+            columns.push_terminal(&config, &streams, 0, local);
         }
         let mut traffic = vec![FrameTraffic::default(); columns.len()];
         for k in 0..=setup_frames {
